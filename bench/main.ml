@@ -47,7 +47,6 @@ let universe_builder_of ~seed spec =
   match String.lowercase_ascii (String.trim spec) with
   | "naive" -> Some Universe.build_naive
   | "quotient" -> Some Universe.build_quotient
-  | "parallel" -> Some (fun r p -> Universe.build_parallel r p)
   | s when String.length s > 8 && String.equal (String.sub s 0 8) "sampled:" -> (
       match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
       | Some pairs when pairs > 0 ->
@@ -399,24 +398,25 @@ let run_ablation ~full ~seed =
     !n_runs
 
 (* ------------------------------------------------------------------ *)
-(* Universe construction: naive vs quotient vs parallel (ISSUE 4).     *)
+(* Universe construction: naive scan vs profile quotient.              *)
 (* ------------------------------------------------------------------ *)
 
-(* A/B of the universe builders on a duplicate-heavy TPC-H-shaped
-   instance: lineitem and orders projected onto their low-cardinality
-   flag/status/priority columns (the §5.1 table shapes with the key
-   columns dropped), so row profiles repeat heavily and the quotient
-   collapses the |R|·|P| scan to the distinct-profile product.  All three
-   exact builders must produce identical universes — classes, counts and
-   representatives — which is asserted here and by CI on the emitted
-   BENCH_universe.json. *)
+(* A/B of the exact universe builders on two TPC-H lineitem × orders
+   shapes.  Duplicate-heavy: both tables projected onto their
+   low-cardinality flag/status/priority columns (the §5.1 table shapes
+   with the key columns dropped), so row profiles repeat heavily and the
+   quotient collapses the |R|·|P| scan to the distinct-profile product.
+   All-distinct: the full-arity tables (a 16 × 9 = 144-bit Ω), where
+   every row is its own profile and the profile quotient collapses
+   nothing — the shape a cold server open builds, and the one where only
+   the output-sensitive kernel helps.  Both builders must produce
+   identical universes — classes, counts and representatives — which is
+   asserted here and by CI on the emitted BENCH_universe.json. *)
 let run_universe ~full ~seed =
   let module Json = Jqi_util.Json in
   let module Algebra = Jqi_relational.Algebra in
   let module Relation = Jqi_relational.Relation in
-  section_header
-    "Universe construction — naive vs quotient vs parallel (profile quotient)";
-  let scales = if full then [ 4; 16 ] else [ 2; 8 ] in
+  section_header "Universe construction — naive scan vs profile quotient";
   let universes_equal u1 u2 =
     Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
     && (let rec go i =
@@ -439,23 +439,23 @@ let run_universe ~full ~seed =
     done;
     (Option.get !result, !best)
   in
+  let duplicate_heavy (db : Tpch.db) =
+    ( Algebra.project db.lineitem [ "l_returnflag"; "l_linestatus"; "l_shipmode" ],
+      Algebra.project db.orders
+        [ "o_orderstatus"; "o_orderpriority"; "o_shippriority" ] )
+  in
+  let all_distinct (db : Tpch.db) = (db.lineitem, db.orders) in
+  let instances =
+    List.map (fun scale -> ("duplicate-heavy", duplicate_heavy, scale))
+      (if full then [ 4; 16 ] else [ 2; 8 ])
+    @ [ ("all-distinct", all_distinct, if full then 8 else 4) ]
+  in
   let entries =
     List.map
-      (fun scale ->
-        let db = Tpch.generate ~seed ~scale () in
-        let r =
-          Algebra.project db.lineitem
-            [ "l_returnflag"; "l_linestatus"; "l_shipmode" ]
-        in
-        let p =
-          Algebra.project db.orders
-            [ "o_orderstatus"; "o_orderpriority"; "o_shippriority" ]
-        in
+      (fun (shape, instance, scale) ->
+        let r, p = instance (Tpch.generate ~seed ~scale ()) in
         let naive_u, naive_s = time_best (fun () -> Universe.build_naive r p) in
         let quot_u, quot_s = time_best (fun () -> Universe.build_quotient r p) in
-        let par_u, par_s =
-          time_best (fun () -> Universe.build_parallel ~domains:4 r p)
-        in
         (* One instrumented quotient build for the profile/dict counters. *)
         let was_enabled = Obs.enabled () in
         Obs.reset ();
@@ -466,41 +466,41 @@ let run_universe ~full ~seed =
         let profiles_p = counter "universe.profiles_p" in
         let dict_values = counter "universe.dict_values" in
         let pairs_skipped = counter "universe.pairs_skipped" in
+        let pairs_touched = counter "universe.pairs_touched" in
         Obs.set_enabled was_enabled;
-        let identical = universes_equal naive_u quot_u && universes_equal naive_u par_u in
+        let identical = universes_equal naive_u quot_u in
         let speedup_quot = naive_s /. quot_s in
-        let speedup_par = naive_s /. par_s in
         Printf.printf
-          "  scale %2d: %4d x %4d rows (|D| = %7d), %3d x %2d profiles, %d \
-           dict values, %d classes\n\
+          "  %s scale %2d: %4d x %4d rows (|D| = %7d), %4d x %3d profiles \
+           (%d touched pairs), %d dict values, %d classes\n\
           \    naive    %8.2f ms\n\
           \    quotient %8.2f ms  (%.1fx)\n\
-          \    parallel %8.2f ms  (%.1fx, 4 domains)\n\
           \    universes %s\n"
-          scale (Relation.cardinality r) (Relation.cardinality p)
+          shape scale (Relation.cardinality r) (Relation.cardinality p)
           (Relation.cardinality r * Relation.cardinality p)
-          profiles_r profiles_p dict_values (Universe.n_classes quot_u)
-          (naive_s *. 1e3) (quot_s *. 1e3) speedup_quot (par_s *. 1e3)
-          speedup_par
+          profiles_r profiles_p pairs_touched dict_values
+          (Universe.n_classes quot_u) (naive_s *. 1e3) (quot_s *. 1e3)
+          speedup_quot
           (if identical then "identical" else "DIVERGED");
         Json.Obj
           [
+            ("shape", Json.Str shape);
             ("scale", Json.int scale);
             ("rows_r", Json.int (Relation.cardinality r));
             ("rows_p", Json.int (Relation.cardinality p));
+            ("omega_bits", Json.int (Jqi_core.Omega.width (Universe.omega quot_u)));
             ("profiles_r", Json.int profiles_r);
             ("profiles_p", Json.int profiles_p);
             ("dict_values", Json.int dict_values);
             ("pairs_skipped", Json.int pairs_skipped);
+            ("pairs_touched", Json.int pairs_touched);
             ("classes", Json.int (Universe.n_classes quot_u));
             ("naive_s", Json.Num naive_s);
             ("quotient_s", Json.Num quot_s);
-            ("parallel_s", Json.Num par_s);
             ("speedup_quotient", Json.Num speedup_quot);
-            ("speedup_parallel", Json.Num speedup_par);
             ("identical", Json.Bool identical);
           ])
-      scales
+      instances
   in
   let path = "BENCH_universe.json" in
   Json.save_file path
@@ -509,9 +509,10 @@ let run_universe ~full ~seed =
          ("seed", Json.int seed);
          ( "instance",
            Json.Str
-             "TPC-H lineitem(returnflag,linestatus,shipmode) x \
-              orders(orderstatus,orderpriority,shippriority) — \
-              duplicate-heavy projections" );
+             "TPC-H lineitem x orders: duplicate-heavy projections \
+              lineitem(returnflag,linestatus,shipmode) x \
+              orders(orderstatus,orderpriority,shippriority), and the \
+              all-distinct full-arity tables" );
          ("entries", Json.List entries);
        ]);
   Printf.printf "wrote %s\n" path
@@ -1532,8 +1533,6 @@ let micro_tests ~seed =
       (Staged.stage (fun () -> Universe.build join4.r join4.p));
     Test.make ~name:"fig6:universe_build_naive(J4,scale1)"
       (Staged.stage (fun () -> Universe.build_naive join4.r join4.p));
-    Test.make ~name:"fig6:universe_build_parallel(J4,4 domains)"
-      (Staged.stage (fun () -> Universe.build_parallel ~domains:4 join4.r join4.p));
     (* §3.4 / Theorem 3.5: the PTIME informativeness test. *)
     Test.make ~name:"fig6:informative_scan"
       (Staged.stage (fun () -> State.informative_classes st));
@@ -1649,7 +1648,7 @@ let run sections full seed universe_spec =
     | Some b -> (b, String.lowercase_ascii (String.trim universe_spec))
     | None ->
         Printf.eprintf
-          "bad --universe %S (expected naive|quotient|parallel|sampled:<pairs>)\n"
+          "bad --universe %S (expected naive|quotient|sampled:<pairs>)\n"
           universe_spec;
         exit 2
   in
@@ -1707,7 +1706,7 @@ let universe_spec_arg =
     value & opt string "quotient"
     & info [ "universe" ] ~docv:"BUILDER"
         ~doc:"Universe constructor for the fig6/fig7 universes (mirrors \
-              jqinfer): naive, quotient, parallel or sampled:<pairs>.")
+              jqinfer): naive, quotient or sampled:<pairs>.")
 
 let cmd =
   Cmd.v

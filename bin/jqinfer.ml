@@ -86,27 +86,25 @@ let lks_of ~engine k =
 
 (* Universe builder selection (--universe): the profile quotient is the
    default; naive is the per-pair reference scan kept for differentials;
-   parallel fans distinct R-profiles over domains; sampled:<pairs> draws
-   that many uniform random pairs instead of scanning the product. *)
+   sampled:<pairs> draws that many uniform random pairs instead of
+   scanning the product. *)
 let builder_name = function
   | `Naive -> "naive"
   | `Quotient -> "quotient"
-  | `Parallel -> "parallel"
   | `Sampled pairs -> Printf.sprintf "sampled:%d" pairs
 
 let builder_of ~seed = function
   | `Naive -> Universe.build_naive
   | `Quotient -> Universe.build_quotient
-  | `Parallel -> fun r p -> Universe.build_parallel r p
   | `Sampled pairs -> fun r p -> Universe.build_sampled (Prng.create seed) ~pairs r p
 
-(* The same selector for a k-ary relation list.  The quotient/parallel
-   builders share the profile-trie walk; naive is the Cartesian
-   reference; sampled draws random k-tuples. *)
+(* The same selector for a k-ary relation list.  The quotient is the
+   profile-trie walk; naive is the Cartesian reference; sampled draws
+   random k-tuples. *)
 let kary_builder_of ~seed ubuilder rels =
   match ubuilder with
   | `Naive -> Universe.build_kary_naive rels
-  | `Quotient | `Parallel -> Universe.build_kary rels
+  | `Quotient -> Universe.build_kary rels
   | `Sampled tuples ->
       Universe.build_sampled_kary (Prng.create seed) ~tuples rels
 
@@ -949,13 +947,12 @@ let universe_arg =
     match String.lowercase_ascii (String.trim s) with
     | "naive" -> Ok `Naive
     | "quotient" -> Ok `Quotient
-    | "parallel" -> Ok `Parallel
     | s when String.length s > 8 && String.equal (String.sub s 0 8) "sampled:" -> (
         match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
         | Some pairs when pairs > 0 -> Ok (`Sampled pairs)
         | Some _ | None ->
             Error (`Msg "sampled:<pairs> needs a positive pair count"))
-    | _ -> Error (`Msg "expected naive, quotient, parallel or sampled:<pairs>")
+    | _ -> Error (`Msg "expected naive, quotient or sampled:<pairs>")
   in
   let print ppf b = Fmt.string ppf (builder_name b) in
   Arg.(
@@ -964,9 +961,8 @@ let universe_arg =
     & info [ "universe" ] ~docv:"BUILDER"
         ~doc:"Universe constructor: $(b,quotient) (dictionary-encoded \
               row-profile quotient — the default), $(b,naive) (the per-pair \
-              reference scan), $(b,parallel) (quotient with R-profiles \
-              fanned over domains), or $(b,sampled:)$(i,PAIRS) (uniform \
-              random pairs instead of a full scan; approximate).")
+              reference scan), or $(b,sampled:)$(i,PAIRS) (uniform random \
+              pairs instead of a full scan; approximate).")
 
 let trace_arg =
   Arg.(

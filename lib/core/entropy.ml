@@ -408,6 +408,6 @@ let score ?(domains = 1) state ~k =
           List.map (fun part -> Domain.spawn (fun () -> score_chunk state k part)) parts
         in
         List.concat_map Domain.join handles
-(* R11 waiver: deterministic fork/join over immutable state, mirroring
-   [Universe.build_parallel]; [domains = 1] (the default) never spawns. *)
+(* R11 waiver: deterministic fork/join over immutable state, merged in
+   chunk order; [domains = 1] (the default) never spawns. *)
 [@@lint.allow "R11"]

@@ -108,9 +108,9 @@ let lks k =
   if k < 1 then invalid_arg "Strategy.lks: k must be >= 1";
   make (Printf.sprintf "L%dS" k) (skyline_choose_fast k)
 
-(* LkS with candidate scoring fanned out over [domains] domains, following
-   the [Universe.build_parallel] pattern; ties still break by class index,
-   so the chosen classes are identical to the sequential run. *)
+(* LkS with candidate scoring fanned out over [domains] domains; ties
+   still break by class index, so the chosen classes are identical to the
+   sequential run. *)
 let lks_par ~domains k =
   if k < 1 then invalid_arg "Strategy.lks_par: k must be >= 1";
   if domains < 1 then invalid_arg "Strategy.lks_par: domains must be >= 1";

@@ -39,11 +39,23 @@ type t = {
 
 exception Kary_too_large of { work : int; limit : int }
 
+(* [Bits.hash] is a multiply-add fold, so bits above a table's index
+   width never reach the bucket index and wide signatures differing only
+   in high bits pile into a few buckets.  Every class table here hashes
+   through this finalizer (splitmix64's, with 62-bit constants), which
+   spreads each input bit over the low bits.  [Bits.hash] itself stays a
+   plain fold: the State/Entropy memo tables key on it and measured
+   slower with the extra mixing. *)
+let mix h =
+  let h = (h lxor (h lsr 31)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 29)) * 0x14cb94d049bb1331 in
+  h lxor (h lsr 32)
+
 module H = Hashtbl.Make (struct
   type t = Bits.t
 
   let equal = Bits.equal
-  let hash = Bits.hash
+  let hash s = mix (Bits.hash s)
 end)
 
 (* Lexicographically smaller of two same-length representative vectors —
@@ -119,15 +131,16 @@ let build_naive r p =
 
    1. Value dictionary: every cell of R and P is interned into one shared
       dense code space ([Jqi_relational.Dict]) replicating [Value.eq], so
-      the signature inner loop compares integers on flat arrays instead of
+      matching is integer equality on flat arrays instead of
       tag-dispatching on boxed [Value.t].
 
    2. Row profiles: two rows with the same code vector produce the same
       signature against *every* partner row, so it suffices to compute
       signatures for distinct-profile pairs and add multiplicity
-      |profile_R| × |profile_P| per pair.  The scan shrinks from
-      |R|·|P| to d_R·d_P where d is the distinct-profile count —
-      orders of magnitude on duplicate-heavy (TPC-H-shaped) data.
+      |profile_R| × |profile_P| per pair.
+
+   The signatures themselves come from [binary_kernel] below, whose work
+   follows the matches rather than the d_R·d_P profile pairs.
 
    The result is identical to [build_naive]: same classes and counts by
    construction, and the same representatives because the full-scan rep of
@@ -149,6 +162,15 @@ module Profile = struct
 end
 
 module PH = Hashtbl.Make (Profile)
+
+(* The binary kernel's class table: keyed by a signature's word array,
+   probed with one reused key so only a new class allocates. *)
+module W = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = Profile.equal
+  let hash a = mix (Array.fold_left (fun acc w -> (acc * 486187739) + w) 0 a)
+end)
 
 type profile = { codes : int array; mutable multiplicity : int; first_row : int }
 
@@ -179,10 +201,136 @@ let c_profiles_r = Obs.Counter.make "universe.profiles_r"
 let c_profiles_p = Obs.Counter.make "universe.profiles_p"
 let c_profile_pairs = Obs.Counter.make "universe.profile_pairs"
 let c_pairs_skipped = Obs.Counter.make "universe.pairs_skipped"
+let c_pairs_touched = Obs.Counter.make "universe.pairs_touched"
 
-(* Shared front half of the quotient builders: intern both relations into
-   one dictionary and group their rows into profiles. *)
-let quotient_profiles r p =
+type kclass = { mutable k_count : int; mutable rep_r : int; mutable rep_p : int }
+
+(* The binary quotient kernel: the classes of rprofs × pprofs, as
+   (signature, multiplicity, representative) triples for
+   [of_ksignature_list].  Both profile arrays are in ascending first-row
+   order; [n_codes] bounds every code, [m] is P's arity and bit (x, y)
+   sits at x·m + y.
+
+   Instead of comparing every profile pair, P's profiles are indexed as
+   code → (P-profile, column) postings.  Each R-profile [a] follows the
+   postings of its codes and ORs the matching bits into a per-P-profile
+   scratch slice; only the P-profiles it touched are looked up in the
+   class table, and the slice is cleared as it is read.  The untouched
+   P-profiles all have the empty signature, so they cost one
+   multiplication: mult(a)·(|P| − Σ touched multiplicities).
+
+   Representatives: R-profiles run in ascending first-row order, so the
+   first one with an untouched partner owns the empty class's minimum,
+   paired with its smallest untouched P-profile; every other class
+   min-merges (first row of a, first row of b) as two ints.  NULL/NaN
+   cells carry negative codes and are never posted or probed.
+
+   Cost O((|R|+|P|)·arity + postings visited + touched pairs · words)
+   after profiling, against d_R·d_P·|Ω| for the pair loop. *)
+let binary_kernel ~n_codes ~m ~width rprofs pprofs =
+  let words = Bits.word_count width and bpw = Bits.bits_per_word in
+  let np = Array.length pprofs in
+  let start = Array.make (n_codes + 1) 0 in
+  Array.iter
+    (fun b ->
+      Array.iter (fun c -> if c >= 0 then start.(c + 1) <- start.(c + 1) + 1) b.codes)
+    pprofs;
+  for c = 1 to n_codes do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  let post_prof = Array.make start.(n_codes) 0 in
+  let post_col = Array.make start.(n_codes) 0 in
+  let fill = Array.sub start 0 n_codes in
+  Array.iteri
+    (fun bi b ->
+      Array.iteri
+        (fun y c ->
+          if c >= 0 then begin
+            let k = fill.(c) in
+            post_prof.(k) <- bi;
+            post_col.(k) <- y;
+            fill.(c) <- k + 1
+          end)
+        b.codes)
+    pprofs;
+  let p_rows = Array.fold_left (fun s b -> s + b.multiplicity) 0 pprofs in
+  let scratch = Array.make (np * words) 0 in
+  (* [stamp.(bi)] is the last R-profile that touched P-profile [bi]. *)
+  let stamp = Array.make np (-1) in
+  let touched = Array.make np 0 in
+  let key = Array.make words 0 in
+  let tbl = W.create 256 in
+  let empty_count = ref 0 and empty_rep = ref [||] and n_touched = ref 0 in
+  Array.iteri
+    (fun ai a ->
+      let nt = ref 0 in
+      Array.iteri
+        (fun x c ->
+          if c >= 0 then
+            for k = start.(c) to start.(c + 1) - 1 do
+              let bi = post_prof.(k) in
+              if not (Int.equal stamp.(bi) ai) then begin
+                stamp.(bi) <- ai;
+                touched.(!nt) <- bi;
+                incr nt
+              end;
+              let bit = (x * m) + post_col.(k) in
+              let w = (bi * words) + (bit / bpw) in
+              scratch.(w) <- scratch.(w) lor (1 lsl (bit mod bpw))
+            done)
+        a.codes;
+      let touched_rows = ref 0 in
+      for t = 0 to !nt - 1 do
+        let b = pprofs.(touched.(t)) in
+        touched_rows := !touched_rows + b.multiplicity;
+        let base = touched.(t) * words in
+        Array.blit scratch base key 0 words;
+        Array.fill scratch base words 0;
+        let mult = a.multiplicity * b.multiplicity in
+        match W.find_opt tbl key with
+        | Some cl ->
+            cl.k_count <- cl.k_count + mult;
+            if a.first_row < cl.rep_r
+               || (Int.equal a.first_row cl.rep_r && b.first_row < cl.rep_p)
+            then begin
+              cl.rep_r <- a.first_row;
+              cl.rep_p <- b.first_row
+            end
+        | None ->
+            W.add tbl (Array.copy key)
+              { k_count = mult; rep_r = a.first_row; rep_p = b.first_row }
+      done;
+      n_touched := !n_touched + !nt;
+      let untouched = p_rows - !touched_rows in
+      if untouched > 0 then begin
+        empty_count := !empty_count + (a.multiplicity * untouched);
+        if Int.equal (Array.length !empty_rep) 0 then begin
+          let j = ref 0 in
+          while Int.equal stamp.(!j) ai do
+            incr j
+          done;
+          empty_rep := [| a.first_row; pprofs.(!j).first_row |]
+        end
+      end)
+    rprofs;
+  Obs.Counter.add c_pairs_touched !n_touched;
+  let sigs =
+    W.fold
+      (fun words cl l ->
+        (Bits.of_words width words, cl.k_count, [| cl.rep_r; cl.rep_p |]) :: l)
+      tbl []
+  in
+  if !empty_count > 0 then (Bits.empty width, !empty_count, !empty_rep) :: sigs
+  else sigs
+
+let merge_into acc s count rep =
+  match H.find_opt acc s with
+  | Some (c, rep') -> H.replace acc s (c + count, rep_min rep rep')
+  | None -> H.add acc s (count, rep)
+
+let build_quotient r p =
+  Obs.span "universe.build_quotient" @@ fun () ->
+  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
   let nr = Relation.cardinality r and np = Relation.cardinality p in
   if nr = 0 || np = 0 then invalid_arg "Universe.build: empty Cartesian product";
   let dict = Dict.create ~size:(nr + np) () in
@@ -194,90 +342,13 @@ let quotient_profiles r p =
   let n_pairs = Array.length rprofs * Array.length pprofs in
   Obs.Counter.add c_profile_pairs n_pairs;
   Obs.Counter.add c_pairs_skipped ((nr * np) - n_pairs);
-  (rprofs, pprofs)
-
-let merge_into acc s count rep =
-  match H.find_opt acc s with
-  | Some (c, rep') -> H.replace acc s (c + count, rep_min rep rep')
-  | None -> H.add acc s (count, rep)
-
-let build_quotient r p =
-  Obs.span "universe.build_quotient" @@ fun () ->
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
-  let rprofs, pprofs = quotient_profiles r p in
-  let acc = H.create 256 in
-  Array.iter
-    (fun a ->
-      Array.iter
-        (fun b ->
-          merge_into acc
-            (Tsig.of_codes omega a.codes b.codes)
-            (a.multiplicity * b.multiplicity)
-            [| a.first_row; b.first_row |])
-        pprofs)
-    rprofs;
-  let sigs = H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc [] in
-  of_ksignature_list ~relations:[| r; p |] omega sigs
+  binary_kernel ~n_codes:(Dict.size dict) ~m:(Omega.right_arity omega)
+    ~width:(Omega.width omega) rprofs pprofs
+  |> of_ksignature_list ~relations:[| r; p |] omega
 
 (* The default constructor is the quotient; [build_naive] remains the
    differential oracle. *)
 let build r p = build_quotient r p
-
-(* Multicore quotient: partition the distinct R-*profiles* (not the raw
-   rows) across domains, each scanning every P-profile; merge per-domain
-   signature tables with the same min-rep rule as [build_quotient], so the
-   result is deterministic regardless of scheduling and identical to the
-   sequential builders.
-
-   Partitioning profiles rather than rows also removes the per-pair-bitset
-   minor-GC contention that used to make the row-parallel scan a net loss
-   on few-core machines: only d_R·d_P bitsets are allocated in total, the
-   same number the sequential quotient allocates.  The remaining trade-off
-   is the fixed spawn cost — for small d_R·d_P the sequential
-   [build_quotient] still wins; measure with `bench/main.exe universe`. *)
-let build_parallel ?domains r p =
-  Obs.span "universe.build_parallel" @@ fun () ->
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
-  let rprofs, pprofs = quotient_profiles r p in
-  let dr = Array.length rprofs in
-  let domains =
-    match domains with
-    | Some d -> max 1 (min d dr)
-    | None -> max 1 (min (Domain.recommended_domain_count ()) dr)
-  in
-  let chunk = (dr + domains - 1) / domains in
-  let scan lo hi () =
-    let acc = H.create 256 in
-    for ai = lo to hi - 1 do
-      let a = rprofs.(ai) in
-      Array.iter
-        (fun b ->
-          merge_into acc
-            (Tsig.of_codes omega a.codes b.codes)
-            (a.multiplicity * b.multiplicity)
-            [| a.first_row; b.first_row |])
-        pprofs
-    done;
-    acc
-  in
-  let handles =
-    List.init domains (fun d ->
-        let lo = d * chunk in
-        let hi = min dr ((d + 1) * chunk) in
-        Domain.spawn (scan lo hi))
-  in
-  let merged = H.create 256 in
-  List.iter
-    (fun handle ->
-      let table = Domain.join handle in
-      H.iter (fun s (c, rep) -> merge_into merged s c rep) table)
-    handles;
-  let sigs = H.fold (fun s (c, rep) l -> (s, c, rep) :: l) merged [] in
-  of_ksignature_list ~relations:[| r; p |] omega sigs
-(* R11 waiver: this is the one sanctioned fork/join in the core — spawned
-   domains share nothing mutable, results merge deterministically, and
-   callers opt in explicitly ([build] stays sequential). *)
-[@@lint.allow "R11"]
 
 (* Approximate universe for products too large to scan (the paper's §1:
    "the database instances may be too big to be skimmed"): draw [pairs]
@@ -289,7 +360,7 @@ let build_parallel ?domains r p =
    The representative of a class is the lexicographically smallest sampled
    member ([rep_min], not keep-first-drawn): reps then depend only on the
    sampled *set* of pairs, never on the order the PRNG produced them —
-   the same determinism contract [build]/[build_parallel] satisfy, and a
+   the same determinism contract [build] satisfies, and a
    sample covering the whole product reproduces their universe exactly. *)
 let build_sampled prng ~pairs r p =
   if pairs <= 0 then invalid_arg "Universe.build_sampled: need a positive sample size";
@@ -573,7 +644,9 @@ let build_sampled_kary prng ~tuples rels =
    - a class whose rep row was deleted is "damaged": a targeted repair
      pass re-scans all profile combinations but merges reps only for
      damaged signatures — one signature phase, no re-encoding, and only
-     when a deletion actually hit a representative.
+     when a deletion actually hit a representative.  On k = 2 the pass
+     is [binary_kernel] over the post-delta profiles, so it pays for the
+     matching pairs only, like a fresh [build].
 
    Classes whose multiplicity reaches zero retire; any signature going
    negative, or a remove that matches no row, raises [Invalid_argument].
@@ -748,16 +821,28 @@ let apply_delta t deltas =
       if H.length damaged > 0 then begin
         let all_profs = Array.copy partner_profs in
         all_profs.(ridx) <- group_codes new_codes;
-        Array.iter
-          (fun p0 ->
-            with_combos all_profs 0 p0 (fun vecs _mult frows ->
-                let s = Tsig.of_kcodes t.omega vecs in
-                if H.mem damaged s then
-                  let a = H.find tbl s in
-                  match a.a_rep with
-                  | Some rep -> a.a_rep <- Some (rep_min rep (Array.copy frows))
-                  | None -> a.a_rep <- Some (Array.copy frows)))
-          all_profs.(0)
+        let repair s rep =
+          if H.mem damaged s then
+            match H.find_opt tbl s with
+            | Some ({ a_rep = Some rep'; _ } as a) -> a.a_rep <- Some (rep_min rep' rep)
+            | Some ({ a_rep = None; _ } as a) -> a.a_rep <- Some rep
+            | None -> ()
+        in
+        if Int.equal k 2 then
+          (* The kernel's class reps are already the minimum over every
+             member, so each damaged class takes its rep directly. *)
+          List.iter
+            (fun (s, _, rep) -> repair s rep)
+            (binary_kernel ~n_codes:(Dict.size dict)
+               ~m:(Omega.arity_at t.omega 1) ~width:(Omega.width t.omega)
+               all_profs.(0) all_profs.(1))
+        else
+          Array.iter
+            (fun p0 ->
+              with_combos all_profs 0 p0 (fun vecs _mult frows ->
+                  let s = Tsig.of_kcodes t.omega vecs in
+                  repair s (Array.copy frows)))
+            all_profs.(0)
       end;
       codes.(ridx) <- new_codes;
       (* The relation update comes last, after the class arithmetic has

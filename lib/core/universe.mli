@@ -31,23 +31,17 @@ val build : Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
 val build_naive : Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
 
 (** Profile-quotient construction: interns every cell of both relations
-    into a shared {!Jqi_relational.Dict} code space, groups rows by code
-    vector, and computes one signature per distinct-profile *pair* with
-    multiplicity |profile_R| × |profile_P| — O(d_R·d_P·|Ω|) signature work
-    after an O((|R|+|P|)·arity) encoding pass, where d is the
-    distinct-profile count.  Identical output to {!build_naive};
-    representatives are the lexicographically smallest member pair of each
-    class. *)
+    into a shared {!Jqi_relational.Dict} code space and groups rows by
+    code vector, then computes the classes of the distinct-profile
+    product with an inverted kernel: P's profiles are indexed by code,
+    each R-profile follows the postings of its codes, and only the
+    profile pairs matching at least one attribute are looked up — the
+    rest fall into the empty-signature class by arithmetic.  Cost
+    O((|R|+|P|)·arity + postings visited + touched pairs · words).
+    Identical output to {!build_naive}; representatives are the
+    lexicographically smallest member pair of each class. *)
 val build_quotient :
   Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
-
-(** Multicore {!build_quotient}: the distinct R-profiles are partitioned
-    across [domains] (default [Domain.recommended_domain_count ()]);
-    produces a universe identical to the sequential builders regardless of
-    scheduling.  Worthwhile once d_R·d_P is large enough to amortize the
-    domain-spawn cost — `bench/main.exe universe` measures the crossover. *)
-val build_parallel :
-  ?domains:int -> Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
 
 (** Approximate universe for products too large to scan: [pairs] uniform
     random tuple pairs instead of the full R × P.  Signatures absent from

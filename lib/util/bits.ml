@@ -14,7 +14,8 @@ let nwords width =
   if width < 0 then invalid_arg "Bits: negative width";
   (width + bits_per_word - 1) / bits_per_word
 
-let empty width = { width; words = Array.make (max 1 (nwords width)) 0 }
+let word_count width = max 1 (nwords width)
+let empty width = { width; words = Array.make (word_count width) 0 }
 
 let width t = t.width
 
@@ -28,8 +29,7 @@ let last_mask width =
   if r = 0 then -1 else (1 lsl r) - 1
 
 let full width =
-  let n = max 1 (nwords width) in
-  let words = Array.make n 0 in
+  let words = Array.make (word_count width) 0 in
   let m = nwords width in
   for i = 0 to m - 1 do
     words.(i) <- -1
@@ -131,7 +131,7 @@ let of_list width l = List.fold_left add (empty width) l
    marks bits in a fresh word array.  The hot T-signature scan uses this
    to avoid one array copy per matching attribute pair. *)
 let build width f =
-  let words = Array.make (max 1 (nwords width)) 0 in
+  let words = Array.make (word_count width) 0 in
   let set i =
     if i < 0 || i >= width then
       invalid_arg (Printf.sprintf "Bits.build: index %d out of width %d" i width);
@@ -140,6 +140,18 @@ let build width f =
   in
   f set;
   { width; words }
+
+(* The inverse of the word layout, for kernels that accumulate
+   signatures in flat scratch words and mint a set only per new class. *)
+let of_words width words =
+  let n = word_count width in
+  if not (Int.equal (Array.length words) n) then
+    invalid_arg "Bits.of_words: word count does not match the width";
+  let m = nwords width in
+  if (m > 0 && words.(m - 1) land lnot (last_mask width) <> 0)
+     || (m = 0 && words.(0) <> 0)
+  then invalid_arg "Bits.of_words: bit set beyond the width";
+  { width; words = Array.copy words }
 
 let for_all p t = fold (fun i acc -> acc && p i) t true
 let exists p t = fold (fun i acc -> acc || p i) t false

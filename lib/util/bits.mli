@@ -57,6 +57,19 @@ val of_list : int -> int list -> t
     allocation regardless of how many bits are set.  The setter raises on
     out-of-range indexes. *)
 val build : int -> ((int -> unit) -> unit) -> t
+
+(** Bits per word of the representation: bit [i] lives in word
+    [i / bits_per_word] at position [i mod bits_per_word]. *)
+val bits_per_word : int
+
+(** Number of words a set of width [w] occupies (at least one). *)
+val word_count : int -> int
+
+(** [of_words w words] is the set of width [w] whose word representation
+    is [words] (copied), in the layout {!bits_per_word} describes.  Raises
+    [Invalid_argument] on a word count other than [word_count w] or a bit
+    set at a position >= [w]. *)
+val of_words : int -> int array -> t
 val for_all : (int -> bool) -> t -> bool
 val exists : (int -> bool) -> t -> bool
 

@@ -52,6 +52,21 @@ let test_build () =
     (try ignore (Bits.build 5 (fun set -> set 5)); false
      with Invalid_argument _ -> true)
 
+let test_of_words () =
+  (* Bit i lives in word i / bits_per_word; of_words inverts that layout
+     and rejects a wrong word count or a bit past the width. *)
+  let w = Bits.bits_per_word + 7 in
+  Alcotest.(check int) "two words" 2 (Bits.word_count w);
+  Alcotest.(check int) "at least one word" 1 (Bits.word_count 0);
+  let b = Bits.of_words w [| 1 lor (1 lsl 5); 1 lsl 6 |] in
+  Alcotest.check bits "equals of_list"
+    (Bits.of_list w [ 0; 5; Bits.bits_per_word + 6 ])
+    b;
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "word count" true (raises (fun () -> Bits.of_words w [| 0 |]));
+  Alcotest.(check bool) "bit past width" true
+    (raises (fun () -> Bits.of_words w [| 0; 1 lsl 7 |]))
+
 let test_subsets_count () =
   let s = Bits.of_list 8 [ 1; 3; 5 ] in
   let subs = Bits.subsets s in
@@ -126,6 +141,7 @@ let suite =
     Alcotest.test_case "add/remove persistence" `Quick test_add_remove;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "build" `Quick test_build;
+    Alcotest.test_case "of_words" `Quick test_of_words;
     Alcotest.test_case "subsets enumeration" `Quick test_subsets_count;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

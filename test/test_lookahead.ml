@@ -226,43 +226,44 @@ let parallel_scoring_deterministic =
         (fun domains -> trace (Strategy.lks_par ~domains 2) u goal = sequential)
         [ 1; 2; 4 ])
 
-let check_same_universe u1 u2 =
-  Alcotest.(check int) "same class count" (Universe.n_classes u1)
-    (Universe.n_classes u2);
-  for i = 0 to Universe.n_classes u1 - 1 do
-    Alcotest.check bits_testable "same signature" (Universe.signature u1 i)
-      (Universe.signature u2 i);
-    Alcotest.(check int) "same count" (Universe.count u1 i) (Universe.count u2 i);
-    Alcotest.(check (array int)) "same representative"
-      (Universe.cls u1 i).Universe.rep
-      (Universe.cls u2 i).Universe.rep
-  done
+(* L2S runs over a universe from the inverted build kernel ask the same
+   questions (class, label and representative pair) as runs over the
+   [build_naive] oracle. [traced_run] records each asked representative. *)
+let traced_run u goal =
+  List.map
+    (fun (c, l) -> (c, Sample.bool_of_label l, (Universe.cls u c).Universe.rep))
+    (trace Strategy.l2s u goal)
 
-(* Adversarial chunk boundaries: fewer rows than domains, and a single
-   row (every chunk but one is empty). *)
-let test_build_parallel_adversarial_chunks () =
+let check_l2s_build_vs_naive r p =
+  let fast = Universe.build r p and naive = Universe.build_naive r p in
+  let omega = Universe.omega naive in
+  let goals =
+    Omega.full omega
+    :: List.init (Universe.n_classes naive) (Universe.signature naive)
+  in
+  List.iter
+    (fun goal ->
+      Alcotest.(check (list (triple int bool (array int))))
+        "same L2S trace" (traced_run naive goal) (traced_run fast goal))
+    goals
+
+(* Tiny inputs with fewer R rows than P rows: a single R row and a
+   two-row R. Every pair matches some attribute, so neither universe has
+   an empty-signature class. *)
+let test_l2s_build_tiny_inputs () =
   let module Relation = Jqi_relational.Relation in
   let module Tuple = Jqi_relational.Tuple in
   let module Schema = Jqi_relational.Schema in
   let schema = Schema.of_names ~ty:Jqi_relational.Value.TInt [ "a"; "b" ] in
   let mk name rows = Relation.of_list ~name ~schema rows in
   let p = mk "p" [ Tuple.ints [ 0; 1 ]; Tuple.ints [ 1; 1 ]; Tuple.ints [ 2; 0 ] ] in
-  let r1 = mk "r1" [ Tuple.ints [ 0; 1 ] ] in
-  let r2 = mk "r2" [ Tuple.ints [ 0; 1 ]; Tuple.ints [ 1; 2 ] ] in
-  List.iter
-    (fun domains ->
-      check_same_universe (Universe.build r1 p) (Universe.build_parallel ~domains r1 p);
-      check_same_universe (Universe.build r2 p) (Universe.build_parallel ~domains r2 p))
-    [ 1; 2; 4 ]
+  check_l2s_build_vs_naive (mk "r1" [ Tuple.ints [ 0; 1 ] ]) p;
+  check_l2s_build_vs_naive (mk "r2" [ Tuple.ints [ 0; 1 ]; Tuple.ints [ 1; 2 ] ]) p
 
-let test_build_parallel_domain_sweep () =
+let test_l2s_build_synthetic () =
   let prng = Jqi_util.Prng.create 2014 in
   let r, p = Jqi_synth.Synth.generate prng (Jqi_synth.Synth.config 3 3 40 20) in
-  let sequential = Universe.build r p in
-  List.iter
-    (fun domains ->
-      check_same_universe sequential (Universe.build_parallel ~domains r p))
-    [ 1; 2; 4 ]
+  check_l2s_build_vs_naive r p
 
 let test_parallel_score_choice_identity () =
   (* On the §4.4 walk-through state, every domain count picks (t2,t'1). *)
@@ -356,12 +357,12 @@ let suite =
       parallel_scoring_deterministic;
     ]
   @ [
-      Alcotest.test_case "build_parallel adversarial chunks" `Quick
-        test_build_parallel_adversarial_chunks;
-      Alcotest.test_case "build_parallel domain sweep" `Quick
-        test_build_parallel_domain_sweep;
       Alcotest.test_case "parallel score choice identity" `Quick
         test_parallel_score_choice_identity;
+      Alcotest.test_case "L2S on build = build_naive, tiny inputs" `Quick
+        test_l2s_build_tiny_inputs;
+      Alcotest.test_case "L2S on build = build_naive, synthetic" `Quick
+        test_l2s_build_synthetic;
       Alcotest.test_case "Fig 5 u+=11 convention" `Quick
         test_fig5_u_plus_11_convention;
       Alcotest.test_case "Fig 5 table, both engines" `Quick

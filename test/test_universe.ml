@@ -115,9 +115,10 @@ let test_empty_product_rejected () =
   Alcotest.(check bool) "raises" true
     (try ignore (Universe.build r p); false with Invalid_argument _ -> true)
 
-let test_parallel_equals_sequential () =
-  (* Identical universes — classes, counts and representatives — for any
-     domain count, on Example 2.1 and on a bigger synthetic instance. *)
+let test_build_equals_naive () =
+  (* Identical universes — classes, counts and representatives — from the
+     default builder and the per-pair reference scan, on Example 2.1 and
+     on a bigger synthetic instance. *)
   let check_same u1 u2 =
     Alcotest.(check int) "same class count" (Universe.n_classes u1)
       (Universe.n_classes u2);
@@ -130,17 +131,15 @@ let test_parallel_equals_sequential () =
         (Universe.cls u1 i).Universe.rep (Universe.cls u2 i).Universe.rep
     done
   in
-  List.iter
-    (fun domains -> check_same universe0 (Universe.build_parallel ~domains r0 p0))
-    [ 1; 2; 3; 8 ];
+  check_same universe0 (Universe.build_naive r0 p0);
   let prng = Jqi_util.Prng.create 31 in
   let rs, ps = Jqi_synth.Synth.generate prng (Jqi_synth.Synth.config 3 3 60 20) in
-  check_same (Universe.build rs ps) (Universe.build_parallel ~domains:4 rs ps)
+  check_same (Universe.build rs ps) (Universe.build_naive rs ps)
 
 let suite =
   [
     Alcotest.test_case "example 2.1 classes" `Quick test_example_2_1_classes;
-    Alcotest.test_case "parallel build = sequential" `Quick test_parallel_equals_sequential;
+    Alcotest.test_case "build = build_naive" `Quick test_build_equals_naive;
     Alcotest.test_case "join ratio (§5.3 example)" `Quick test_join_ratio_example;
     Alcotest.test_case "grouping with multiplicity" `Quick test_grouping;
     Alcotest.test_case "representative" `Quick test_representative;

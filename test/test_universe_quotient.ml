@@ -1,9 +1,11 @@
 (* Differential suite for the profile-quotient universe construction:
-   [Universe.build_quotient] and [Universe.build_parallel] must reproduce
-   the reference per-pair scan [Universe.build_naive] exactly — classes,
-   counts, representatives and join ratio — on random instances including
-   NULL-heavy, duplicate-heavy, NaN-bearing, single-row and all-NULL-column
-   ones.  Plus unit coverage of the value dictionary ([Dict]): NULL and NaN
+   [Universe.build] must reproduce the reference per-pair scan
+   [Universe.build_naive] exactly — classes, counts, representatives and
+   join ratio — on random instances including NULL-heavy,
+   duplicate-heavy, NaN-bearing, single-row and all-NULL-column ones, and
+   on instances aimed at the inverted kernel's edge cases (wide Ω, the
+   empty-signature class's representative, no empty class, no match at
+   all).  Plus unit coverage of the value dictionary ([Dict]): NULL and NaN
    are never coded, types never share codes, and IEEE zero equality is
    honoured. *)
 
@@ -46,19 +48,15 @@ let relation_of name prefix rows =
          (List.init arity (fun i -> Printf.sprintf "%s%d" prefix i)))
     rows
 
-let all_builders r p =
-  ( Universe.build_naive r p,
-    Universe.build_quotient r p,
-    Universe.build_parallel ~domains:3 r p )
+let builders r p = (Universe.build_naive r p, Universe.build r p)
 
 (* ------------------------- deterministic edges -------------------- *)
 
 let test_single_row () =
   let r = relation_of "r" "a" [ Tuple.ints [ 7; 7 ] ] in
   let p = relation_of "p" "b" [ Tuple.ints [ 7 ] ] in
-  let n, q, par = all_builders r p in
+  let n, q = builders r p in
   check_agree "quotient = naive" n q;
-  check_agree "parallel = naive" n par;
   Alcotest.(check int) "one class" 1 (Universe.n_classes q)
 
 let test_all_null_column () =
@@ -70,9 +68,8 @@ let test_all_null_column () =
     relation_of "p" "b"
       [ Tuple.of_list [ Value.Int 1 ]; Tuple.of_list [ Value.Null ] ]
   in
-  let n, q, par = all_builders r p in
+  let n, q = builders r p in
   check_agree "quotient = naive" n q;
-  check_agree "parallel = naive" n par;
   Alcotest.(check int) "|D| preserved" 6 (Universe.total_tuples q)
 
 let test_duplicate_heavy () =
@@ -82,9 +79,8 @@ let test_duplicate_heavy () =
   let reps = List.concat_map (fun v -> [ v; v; v; v ]) [ [ 1; 2 ]; [ 2; 1 ]; [ 1; 1 ] ] in
   let r = relation_of "r" "a" (List.map Tuple.ints reps) in
   let p = relation_of "p" "b" (List.map Tuple.ints [ [ 1 ]; [ 1 ]; [ 2 ] ]) in
-  let n, q, par = all_builders r p in
+  let n, q = builders r p in
   check_agree "quotient = naive" n q;
-  check_agree "parallel = naive" n par;
   Alcotest.(check int) "|D| = 36" 36 (Universe.total_tuples q)
 
 let test_nan_never_matches () =
@@ -94,9 +90,8 @@ let test_nan_never_matches () =
   let fr v = Tuple.of_list [ Value.Float v ] in
   let r = relation_of "r" "a" [ fr Float.nan; fr 1.0; fr Float.nan ] in
   let p = relation_of "p" "b" [ fr Float.nan; fr 1.0 ] in
-  let n, q, par = all_builders r p in
+  let n, q = builders r p in
   check_agree "quotient = naive" n q;
-  check_agree "parallel = naive" n par;
   (* Exactly one matching pair: 1.0 with 1.0. *)
   let matching = Omega.of_pairs (Universe.omega q) [ (0, 0) ] in
   match Universe.find_class q matching with
@@ -108,7 +103,7 @@ let test_mixed_zero () =
   let fr v = Tuple.of_list [ Value.Float v ] in
   let r = relation_of "r" "a" [ fr 0.0 ] in
   let p = relation_of "p" "b" [ fr (-0.0) ] in
-  let n, q, _ = all_builders r p in
+  let n, q = builders r p in
   check_agree "quotient = naive" n q;
   Alcotest.(check int) "0.0 joins -0.0" 1
     (List.length
@@ -148,12 +143,11 @@ let gen_instance =
     return (rrows, prows))
 
 let qcheck_quotient_equals_naive =
-  QCheck.Test.make ~name:"build_quotient = build_naive = build_parallel"
-    ~count:400 (QCheck.make gen_instance)
-    (fun (rrows, prows) ->
+  QCheck.Test.make ~name:"build_quotient = build_naive" ~count:400
+    (QCheck.make gen_instance) (fun (rrows, prows) ->
       let r = relation_of "r" "a" rrows and p = relation_of "p" "b" prows in
-      let n, q, par = all_builders r p in
-      universes_agree n q && universes_agree n par)
+      let n, q = builders r p in
+      universes_agree n q)
 
 let qcheck_signatures_match_reps =
   QCheck.Test.make ~name:"quotient class signatures = T(representative)"
@@ -172,6 +166,100 @@ let qcheck_signatures_match_reps =
         && go (i + 1)
       in
       go 0)
+
+(* ------------------------- kernel edge cases ---------------------- *)
+
+(* Instances aimed at the inverted kernel: arities up to 12 × 12 (Ω wider
+   than two words), duplicate rows, NULL/NaN cells (never posted), and
+   one of four shapes —
+   - [`Mixed]: small shared value pools;
+   - [`First_touch]: R's first row is all 1s and P's first rows hold a 1,
+     so the first R-profile touches the first P-profiles and the
+     empty class's representative is not (0, 0);
+   - [`All_match]: column 0 is the same value everywhere, so every pair
+     matches and there is no empty class;
+   - [`Disjoint]: R and P draw from disjoint values, so no pair matches. *)
+let gen_kernel_instance =
+  QCheck.Gen.(
+    let* shape = oneofl [ `Mixed; `First_touch; `All_match; `Disjoint ] in
+    let* ra = frequency [ (1, int_range 1 4); (2, int_range 9 12) ]
+    and* pa = frequency [ (1, int_range 1 4); (2, int_range 9 12) ] in
+    let cell offset =
+      frequency
+        [
+          (6, map (fun i -> Value.Int (offset + i)) (int_bound 3));
+          (1, return Value.Null);
+          (1, return (Value.Float Float.nan));
+        ]
+    in
+    let p_offset = match shape with `Disjoint -> 10 | _ -> 0 in
+    let row arity offset =
+      let* cells = list_repeat arity (cell offset) in
+      match shape with
+      | `All_match -> return (Tuple.of_list (Value.Int 7 :: List.tl cells))
+      | `Mixed | `First_touch | `Disjoint -> return (Tuple.of_list cells)
+    in
+    let rows arity offset =
+      let* dup = bool in
+      if dup then
+        let* pool = list_size (int_range 1 3) (row arity offset) in
+        list_size (int_range 1 8) (oneofl pool)
+      else list_size (int_range 1 8) (row arity offset)
+    in
+    let* rrows = rows ra 0 and* prows = rows pa p_offset in
+    match shape with
+    | `First_touch ->
+        let ones = Tuple.ints (List.init ra (fun _ -> 1)) in
+        let with_one =
+          Tuple.of_list (Value.Int 1 :: List.init (pa - 1) (fun _ -> Value.Null))
+        in
+        return (ones :: rrows, with_one :: with_one :: prows)
+    | `Mixed | `All_match | `Disjoint -> return (rrows, prows))
+
+let qcheck_kernel_edges =
+  QCheck.Test.make ~name:"kernel edge cases: build = build_naive" ~count:300
+    (QCheck.make gen_kernel_instance) (fun (rrows, prows) ->
+      let r = relation_of "r" "a" rrows and p = relation_of "p" "b" prows in
+      let n, q = builders r p in
+      universes_agree n q)
+
+let test_empty_class_rep () =
+  (* (0, 0) matches, so the empty class's smallest member is (0, 1): the
+     first R-profile with an untouched partner, paired with its smallest
+     untouched P-profile. *)
+  let r = relation_of "r" "a" (List.map Tuple.ints [ [ 1 ]; [ 2 ] ]) in
+  let p = relation_of "p" "b" (List.map Tuple.ints [ [ 1 ]; [ 3 ] ]) in
+  let n, q = builders r p in
+  check_agree "quotient = naive" n q;
+  match Universe.find_class q (Omega.empty (Universe.omega q)) with
+  | None -> Alcotest.fail "expected an empty-signature class"
+  | Some i ->
+      Alcotest.(check (array int)) "empty rep" [| 0; 1 |] (Universe.cls q i).Universe.rep;
+      Alcotest.(check int) "empty count" 3 (Universe.count q i)
+
+let test_high_bit_classes () =
+  (* 12 × 12 attributes give a 144-bit Ω over three words.  Each P row
+     matches R's single row on one attribute pair whose bit sits at
+     position >= 9 of its word, so the classes agree on the low bits of
+     every word and differ only above them. *)
+  let n_attr = 12 in
+  let r = relation_of "r" "a" [ Tuple.ints (List.init n_attr (fun x -> 100 + x)) ] in
+  let bits =
+    List.filter
+      (fun bit -> bit mod Bits.bits_per_word >= 9)
+      (List.init (n_attr * n_attr) Fun.id)
+  in
+  let prow bit =
+    let x = bit / n_attr and y = bit mod n_attr in
+    Tuple.of_list
+      (List.init n_attr (fun j -> if Int.equal j y then Value.Int (100 + x) else Value.Null))
+  in
+  let p = relation_of "p" "b" (List.map prow bits) in
+  let n, q = builders r p in
+  check_agree "quotient = naive" n q;
+  Alcotest.(check int) "one class per bit" (List.length bits) (Universe.n_classes q);
+  Alcotest.(check bool) "no empty class" true
+    (Option.is_none (Universe.find_class q (Omega.empty (Universe.omega q))))
 
 (* ------------------------- sampled determinism -------------------- *)
 
@@ -289,6 +377,9 @@ let suite =
     Alcotest.test_case "duplicate-heavy" `Quick test_duplicate_heavy;
     Alcotest.test_case "NaN never matches" `Quick test_nan_never_matches;
     Alcotest.test_case "IEEE zeros join" `Quick test_mixed_zero;
+    Alcotest.test_case "empty-class representative" `Quick test_empty_class_rep;
+    Alcotest.test_case "classes differ only in high bits" `Quick
+      test_high_bit_classes;
     Alcotest.test_case "sampled reps are draw-order independent" `Quick
       test_sampled_reps_deterministic;
     Alcotest.test_case "dict: NULL/NaN uncoded" `Quick test_dict_null_nan_uncoded;
@@ -300,4 +391,8 @@ let suite =
       test_of_codes_matches_of_tuples;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_quotient_equals_naive; qcheck_signatures_match_reps ]
+      [
+        qcheck_quotient_equals_naive;
+        qcheck_kernel_edges;
+        qcheck_signatures_match_reps;
+      ]
