@@ -45,12 +45,14 @@ let int_array_compare a b =
    timings.  The quotient is the default everywhere. *)
 let universe_builder_of ~seed spec =
   match String.lowercase_ascii (String.trim spec) with
-  | "naive" -> Some Universe.build_naive
-  | "quotient" -> Some Universe.build_quotient
+  | "naive" -> Some Universe.build_kary_naive
+  | "quotient" -> Some (fun rels -> Universe.build rels)
   | s when String.length s > 8 && String.equal (String.sub s 0 8) "sampled:" -> (
       match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
       | Some pairs when pairs > 0 ->
-          Some (fun r p -> Universe.build_sampled (Prng.create seed) ~pairs r p)
+          Some
+            (fun rels ->
+              Universe.build_sampled (Prng.create seed) ~tuples:pairs rels)
       | Some _ | None -> None)
   | _ -> None
 
@@ -74,7 +76,7 @@ let run_lookahead_bench ~seed =
   let entries =
     List.concat_map
       (fun (join : Tpch.goal_join) ->
-        let universe = Universe.build join.r join.p in
+        let universe = Universe.build [ join.r; join.p ] in
         let omega = Universe.omega universe in
         let goal = Tpch.goal_predicate omega join in
         List.map
@@ -287,9 +289,11 @@ let run_scaling ~full ~seed =
   let rows = List.fold_left max 0 row_counts in
   let prng = Prng.create seed in
   let r, p = Synth.generate prng (Synth.config 3 3 rows 100) in
-  let full_u = Universe.build r p in
+  let full_u = Universe.build [ r; p ] in
   let draws = (rows * rows) / 10 in
-  let sampled_u = Universe.build_sampled (Prng.create seed) ~pairs:draws r p in
+  let sampled_u =
+    Universe.build_sampled (Prng.create seed) ~tuples:draws [ r; p ]
+  in
   let goal =
     match Jqi_synth.Synth.goals_of_size full_u ~size:1 with
     | g :: _ -> g
@@ -342,7 +346,7 @@ let run_ablation ~full ~seed =
   let n_runs = ref 0 in
   for _ = 1 to instances do
     let r, p = Synth.generate prng config in
-    let universe = Universe.build r p in
+    let universe = Universe.build [ r; p ] in
     let omega = Universe.omega universe in
     let goals =
       Jqi_core.Omega.empty omega :: Jqi_core.Omega.full omega
@@ -455,12 +459,12 @@ let run_universe ~full ~seed =
       (fun (shape, instance, scale) ->
         let r, p = instance (Tpch.generate ~seed ~scale ()) in
         let naive_u, naive_s = time_best (fun () -> Universe.build_naive r p) in
-        let quot_u, quot_s = time_best (fun () -> Universe.build_quotient r p) in
+        let quot_u, quot_s = time_best (fun () -> Universe.build [ r; p ]) in
         (* One instrumented quotient build for the profile/dict counters. *)
         let was_enabled = Obs.enabled () in
         Obs.reset ();
         Obs.set_enabled true;
-        ignore (Universe.build_quotient r p);
+        ignore (Universe.build [ r; p ]);
         let counter name = Obs.Counter.find name in
         let profiles_r = counter "universe.profiles_r" in
         let profiles_p = counter "universe.profiles_p" in
@@ -566,7 +570,7 @@ let run_kary ~full ~seed =
   let ow = Algebra.project db.orders [ "o_orderstatus"; "o_orderpriority" ] in
   let cw = Algebra.project db.customer [ "c_mktsegment" ] in
   let wide_list = [ lw; ow; cw ] in
-  let kary_u, kary_s = time_best (fun () -> Universe.build_kary wide_list) in
+  let kary_u, kary_s = time_best (fun () -> Universe.build wide_list) in
   let naive_u, naive_s =
     time_best (fun () -> Universe.build_kary_naive wide_list)
   in
@@ -625,7 +629,7 @@ let run_kary ~full ~seed =
     speedup_comp (ref_s *. 1e3) speedup_ref
     (if agree then "multiset-equal" else "DIVERGED");
   (* (c) inference convergence over the key-chain k-ary universe. *)
-  let chain_u = Universe.build_kary rel_list in
+  let chain_u = Universe.build rel_list in
   let omega = Universe.omega chain_u in
   let goal =
     Omega.of_names_kary omega
@@ -757,12 +761,12 @@ let run_storage ~full ~seed =
   (* Quotient universe over both backends; the paged build is bracketed
      by pool-stat resets so the hit rate covers exactly that scan. *)
   let mem_u, mem_build_s =
-    Jqi_util.Timer.time (fun () -> Universe.build_quotient mem_r mem_p)
+    Jqi_util.Timer.time (fun () -> Universe.build [ mem_r; mem_p ])
   in
   Buffer_pool.reset_stats (Relstore.pool store_r);
   Buffer_pool.reset_stats (Relstore.pool store_p);
   let paged_u, paged_build_s =
-    Jqi_util.Timer.time (fun () -> Universe.build_quotient paged_r paged_p)
+    Jqi_util.Timer.time (fun () -> Universe.build [ paged_r; paged_p ])
   in
   let hit_rate =
     let st_r = Buffer_pool.stats (Relstore.pool store_r) in
@@ -940,7 +944,7 @@ let run_churn ~full ~seed =
     in
     go 0
   in
-  let u0 = Universe.build r0 p in
+  let u0 = Universe.build [ r0; p ] in
   Printf.printf
     "  instance: R×P %d×%d rows, %d values/attr, %d classes; %d row \
      updates per batch size\n"
@@ -954,7 +958,7 @@ let run_churn ~full ~seed =
         let n_batches = max 1 (total_updates / batch) in
         let updates = batch * n_batches in
         (* Incremental chain: patch the live universe per batch. *)
-        let u_inc = ref (Universe.build r0 p) in
+        let u_inc = ref (Universe.build [ r0; p ]) in
         let (), inc_s =
           Jqi_util.Timer.time (fun () ->
               List.iter
@@ -970,7 +974,7 @@ let run_churn ~full ~seed =
               List.iter
                 (fun d ->
                   r_cur := Relation.apply_delta !r_cur d;
-                  u_rb := Universe.build !r_cur p)
+                  u_rb := Universe.build [ !r_cur; p ])
                 script)
         in
         let identical = universes_equal !u_inc !u_rb in
@@ -1055,7 +1059,7 @@ let run_obs ~full ~seed =
   let workloads =
     List.map
       (fun (join : Tpch.goal_join) ->
-        let universe = Universe.build join.r join.p in
+        let universe = Universe.build [ join.r; join.p ] in
         let goal = Tpch.goal_predicate (Universe.omega universe) join in
         (universe, goal))
       [ List.nth joins 3; List.nth joins 4 ]
@@ -1504,7 +1508,7 @@ let micro_tests ~seed =
   let db = Tpch.generate ~seed ~scale:1 () in
   let joins = Tpch.joins db in
   let join4 = List.nth joins 3 in
-  let universe = Universe.build join4.r join4.p in
+  let universe = Universe.build [ join4.r; join4.p ] in
   let omega = Universe.omega universe in
   let goal = Tpch.goal_predicate omega join4 in
   let mid_state () =
@@ -1530,7 +1534,7 @@ let micro_tests ~seed =
   [
     (* Fig 6 critical path: quotienting the Cartesian product. *)
     Test.make ~name:"fig6:universe_build_quotient(J4,scale1)"
-      (Staged.stage (fun () -> Universe.build join4.r join4.p));
+      (Staged.stage (fun () -> Universe.build [ join4.r; join4.p ]));
     Test.make ~name:"fig6:universe_build_naive(J4,scale1)"
       (Staged.stage (fun () -> Universe.build_naive join4.r join4.p));
     (* §3.4 / Theorem 3.5: the PTIME informativeness test. *)
@@ -1550,7 +1554,7 @@ let micro_tests ~seed =
     (* Table 1 synth column: one full inference run. *)
     Test.make ~name:"fig7:full_run_TD(3,3,50,100)"
       (Staged.stage (fun () ->
-           let u = Universe.build r_synth p_synth in
+           let u = Universe.build [ r_synth; p_synth ] in
            let g = List.hd (Universe.signatures u) in
            E.Runner.run_goal u ~goal:g [ Strategy.td ]));
     (* Substrates. *)

@@ -1,7 +1,7 @@
 (* jqinfer — command-line front end of the join-inference library.
 
    Subcommands:
-     infer          interactively infer an equijoin over two CSV files
+     infer          interactively infer an equijoin over two or more CSV files
                     (the human is the oracle; labels read from stdin)
      simulate       replay the inference with a known goal predicate
      gen-tpch       generate TPC-H-style CSV files
@@ -62,51 +62,52 @@ let load_rel ?(backend = Relstore.Mem) path =
 let load_pair ?backend r_path p_path =
   (load_rel ?backend r_path, load_rel ?backend p_path)
 
-(* "--relations a.csv,b.csv,c.csv" — the k-ary instance. *)
-let load_relations ?backend spec =
-  let paths =
-    List.filter
-      (fun s -> not (String.equal s ""))
-      (List.map String.trim (String.split_on_char ',' spec))
-  in
-  if List.compare_length_with paths 2 < 0 then begin
-    Printf.eprintf "--relations needs at least two CSV paths, got %S\n" spec;
-    exit 2
-  end;
-  List.map (fun p -> load_rel ?backend p) paths
+(* The instance's CSV paths: the two R.csv P.csv positionals, or
+   "--relations a.csv,b.csv,c.csv" for k >= 2 relations. *)
+let relation_paths ~cmd r_path p_path relations =
+  match (relations, r_path, p_path) with
+  | Some spec, None, None ->
+      let paths =
+        List.filter
+          (fun s -> not (String.equal s ""))
+          (List.map String.trim (String.split_on_char ',' spec))
+      in
+      if List.compare_length_with paths 2 < 0 then begin
+        Printf.eprintf "--relations needs at least two CSV paths, got %S\n" spec;
+        exit 2
+      end;
+      paths
+  | Some _, Some _, _ | Some _, _, Some _ ->
+      Printf.eprintf
+        "%s takes either R.csv P.csv positionals or --relations, not both\n" cmd;
+      exit 2
+  | None, Some r, Some p -> [ r; p ]
+  | None, None, _ | None, _, None ->
+      Printf.eprintf "%s needs R.csv P.csv positionals or --relations\n" cmd;
+      exit 2
 
 (* Lookahead engine selection (--engine): the fast engine is the default;
    the reference engine is the Algorithm 5 transcription kept as the
-   differential oracle; parallel fans candidate scoring over domains. *)
+   differential oracle. *)
 let lks_of ~engine k =
   match engine with
   | `Fast -> Strategy.lks k
   | `Reference -> Strategy.lks_reference k
-  | `Parallel domains -> Strategy.lks_par ~domains k
 
-(* Universe builder selection (--universe): the profile quotient is the
-   default; naive is the per-pair reference scan kept for differentials;
-   sampled:<pairs> draws that many uniform random pairs instead of
-   scanning the product. *)
+(* Universe builder selection (--universe): [Universe.build] is the
+   default; naive is the Cartesian reference scan kept for differentials;
+   sampled:<n> draws that many uniform random tuples instead of scanning
+   the product. *)
 let builder_name = function
   | `Naive -> "naive"
   | `Quotient -> "quotient"
-  | `Sampled pairs -> Printf.sprintf "sampled:%d" pairs
+  | `Sampled tuples -> Printf.sprintf "sampled:%d" tuples
 
-let builder_of ~seed = function
-  | `Naive -> Universe.build_naive
-  | `Quotient -> Universe.build_quotient
-  | `Sampled pairs -> fun r p -> Universe.build_sampled (Prng.create seed) ~pairs r p
-
-(* The same selector for a k-ary relation list.  The quotient is the
-   profile-trie walk; naive is the Cartesian reference; sampled draws
-   random k-tuples. *)
-let kary_builder_of ~seed ubuilder rels =
+let build_universe ~seed ubuilder rels =
   match ubuilder with
   | `Naive -> Universe.build_kary_naive rels
-  | `Quotient -> Universe.build_kary rels
-  | `Sampled tuples ->
-      Universe.build_sampled_kary (Prng.create seed) ~tuples rels
+  | `Quotient -> Universe.build rels
+  | `Sampled tuples -> Universe.build_sampled (Prng.create seed) ~tuples rels
 
 let strategy_of_name ~seed ~engine = function
   | "bu" -> Strategy.bu
@@ -130,6 +131,14 @@ let parse_goal spec =
           Printf.eprintf "bad goal component %S (expected lhs=rhs)\n" part;
           exit 2)
     (if spec = "" then [] else String.split_on_char ',' spec)
+
+(* A bare "a=b" over two relations means left = right ([Omega.of_names]),
+   so a self-join may name one attribute on both sides.  Anything that
+   reading rejects (k >= 3, "rel.attr" names, a reversed pair) resolves
+   through [Omega.of_names_kary]. *)
+let goal_of omega pairs =
+  try Omega.of_names omega pairs
+  with Invalid_argument _ -> Omega.of_names_kary omega pairs
 
 (* ----------------------------- infer ------------------------------ *)
 
@@ -161,16 +170,19 @@ let read_label () =
   in
   prompt ()
 
-let print_question r p (q : Engine.question) =
-  match q.Engine.representative with
-  | Some (tr, tp) ->
-      Printf.printf "\nWould you combine these two rows?\n  %s: %s\n  %s: %s\n"
-        (Relation.name r) (Tuple.to_string tr) (Relation.name p)
-        (Tuple.to_string tp)
+let print_question rels (q : Engine.question) =
+  match q.Engine.rows with
+  | Some tuples ->
+      Printf.printf "\nWould you combine these rows?\n";
+      Array.iteri
+        (fun i t ->
+          Printf.printf "  %s: %s\n" (Relation.name rels.(i)) (Tuple.to_string t))
+        tuples
   | None -> ()
 
-(* Freeze a live engine as a v2 session document: labels so far, the
-   strategy, and the in-flight question if one is outstanding. *)
+(* Freeze a live engine as a session document (v2 for two relations, v3
+   for more): labels so far, the strategy, and the in-flight question if
+   one is outstanding. *)
 let save_session path universe strategy engine =
   let pending =
     match Engine.pending engine with
@@ -180,18 +192,34 @@ let save_session path universe strategy engine =
   Jqi_core.Session.save ~strategy:(Strategy.name strategy) ?pending path
     universe (Engine.result engine).Engine.state
 
-let cmd_infer_binary r_path p_path strategy_name seed verbose engine ubuilder
-    backend resume save trace metrics =
+(* How many tuples of the instance the predicate selects. *)
+let selected_tuples universe predicate =
+  List.fold_left
+    (fun n c -> n + Universe.count universe c)
+    0
+    (Universe.selected_classes universe predicate)
+
+let load_instance ~seed ubuilder backend paths =
+  let rels = List.map (fun p -> load_rel ~backend p) paths in
+  (rels, build_universe ~seed ubuilder rels)
+
+let cmd_infer r_path p_path relations strategy_name seed verbose engine
+    ubuilder backend resume save trace metrics =
+  let paths = relation_paths ~cmd:"infer" r_path p_path relations in
   setup_logs verbose;
   obs_setup ~trace ~metrics;
-  let r, p = load_pair ~backend r_path p_path in
-  let universe = builder_of ~seed ubuilder r p in
+  let rels, universe = load_instance ~seed ubuilder backend paths in
   let omega = Universe.omega universe in
+  let rel_arr = Array.of_list rels in
   Printf.printf
-    "Loaded %s (%d rows) and %s (%d rows); %d tuple classes over |Ω| = %d \
-     (%s universe builder).\n"
-    (Relation.name r) (Relation.cardinality r) (Relation.name p)
-    (Relation.cardinality p) (Universe.n_classes universe) (Omega.width omega)
+    "Loaded %s; %d tuple classes over |Ω| = %d (%s universe builder).\n"
+    (String.concat ", "
+       (List.map
+          (fun r ->
+            Printf.sprintf "%s (%d rows)" (Relation.name r)
+              (Relation.cardinality r))
+          rels))
+    (Universe.n_classes universe) (Omega.width omega)
     (builder_name ubuilder);
   let strategy = strategy_of_name ~seed ~engine strategy_name in
   let engine =
@@ -219,7 +247,7 @@ let cmd_infer_binary r_path p_path strategy_name seed verbose engine ubuilder
     match Engine.pending engine with
     | None -> Some engine
     | Some q -> (
-        print_question r p q;
+        print_question rel_arr q;
         match read_label () with
         | Some label -> drive (Engine.answer engine label)
         | None ->
@@ -231,8 +259,12 @@ let cmd_infer_binary r_path p_path strategy_name seed verbose engine ubuilder
             save_session path universe strategy engine;
             Printf.printf
               "\nInput closed — session autosaved to %s.\nResume with:\n  \
-               jqinfer infer %s %s --strategy %s --resume %s\n"
-              path r_path p_path strategy_name path;
+               jqinfer infer %s --strategy %s --resume %s\n"
+              path
+              (match paths with
+              | [ r; p ] -> r ^ " " ^ p
+              | _ -> "--relations " ^ String.concat "," paths)
+              strategy_name path;
             None)
   in
   match drive engine with
@@ -254,178 +286,26 @@ let cmd_infer_binary r_path p_path strategy_name seed verbose engine ubuilder
       Printf.printf "\nInferred join predicate after %d answers:\n  %s\n"
         result.Engine.n_interactions
         (Omega.pred_to_string omega result.Engine.predicate);
-      Printf.printf "As SQL:\n  %s\n"
-        (sql_of_predicate r p omega result.Engine.predicate);
-      let join =
-        Jqi_relational.Join.equijoin r p
-          (Omega.to_pairs omega result.Engine.predicate)
-      in
-      Printf.printf "It selects %d of the %d pairs.\n"
-        (Relation.cardinality join)
-        (Universe.total_tuples universe);
-      obs_finish ~trace ~metrics
-
-(* --------------------------- k-ary infer -------------------------- *)
-
-let print_kquestion rels (q : Engine.question) =
-  match q.Engine.rows with
-  | Some tuples ->
-      Printf.printf "\nWould you combine these rows?\n";
-      Array.iteri
-        (fun i t ->
-          Printf.printf "  %s: %s\n"
-            (Relation.name rels.(i))
-            (Tuple.to_string t))
-        tuples
-  | None -> ()
-
-(* How many k-tuples of the instance the predicate selects. *)
-let selected_tuples universe predicate =
-  let total = ref 0 in
-  for i = 0 to Universe.n_classes universe - 1 do
-    if Jqi_util.Bits.subset predicate (Universe.signature universe i) then
-      total := !total + Universe.count universe i
-  done;
-  !total
-
-let cmd_infer_kary spec strategy_name seed verbose engine ubuilder backend
-    resume save trace metrics =
-  setup_logs verbose;
-  obs_setup ~trace ~metrics;
-  let rels = load_relations ~backend spec in
-  let universe = kary_builder_of ~seed ubuilder rels in
-  let omega = Universe.omega universe in
-  let rel_arr = Array.of_list rels in
-  Printf.printf
-    "Loaded %s; %d tuple classes over |Ω| = %d (%s universe builder).\n"
-    (String.concat ", "
-       (List.map
-          (fun r ->
-            Printf.sprintf "%s (%d rows)" (Relation.name r)
-              (Relation.cardinality r))
-          rels))
-    (Universe.n_classes universe) (Omega.width omega) (builder_name ubuilder);
-  let strategy = strategy_of_name ~seed ~engine strategy_name in
-  let engine =
-    match resume with
-    | None -> Engine.create universe strategy
-    | Some path ->
-        let loaded = Jqi_core.Session.load_full path universe in
-        Printf.printf "Resumed %d earlier answers from %s%s.\n"
-          (State.n_interactions loaded.Jqi_core.Session.state)
-          path
-          (match loaded.Jqi_core.Session.strategy with
-          | Some s -> Printf.sprintf " (saved under strategy %s)" s
-          | None -> "");
-        let pending =
-          Jqi_core.Session.pending_class universe
-            loaded.Jqi_core.Session.state loaded.Jqi_core.Session.pending
-        in
-        Engine.create ~state:loaded.Jqi_core.Session.state ?pending universe
-          strategy
-  in
-  let rec drive engine =
-    match Engine.pending engine with
-    | None -> Some engine
-    | Some q -> (
-        print_kquestion rel_arr q;
-        match read_label () with
-        | Some label -> drive (Engine.answer engine label)
-        | None ->
-            let path =
-              match save with
-              | Some path -> path
-              | None -> Filename.temp_file "jqinfer" "-session.json"
-            in
-            save_session path universe strategy engine;
-            Printf.printf
-              "\nInput closed — session autosaved to %s.\nResume with:\n  \
-               jqinfer infer --relations %s --strategy %s --resume %s\n"
-              path spec strategy_name path;
-            None)
-  in
-  match drive engine with
-  | None -> obs_finish ~trace ~metrics
-  | Some engine ->
-      let result = Engine.result engine in
-      (match save with
-      | Some path ->
-          save_session path universe strategy engine;
-          Printf.printf "Session saved to %s.\n" path
-      | None -> ());
-      if result.Engine.halted then begin
-        let cert = Jqi_core.Certificate.of_state result.Engine.state in
-        Printf.printf
-          "Minimal evidence: %d of your %d answers pinned the query down.\n"
-          (Jqi_core.Certificate.size cert)
-          result.Engine.n_interactions
-      end;
-      Printf.printf "\nInferred join predicate after %d answers:\n  %s\n"
-        result.Engine.n_interactions
-        (Omega.pred_to_string omega result.Engine.predicate);
+      (match rels with
+      | [ r; p ] ->
+          Printf.printf "As SQL:\n  %s\n"
+            (sql_of_predicate r p omega result.Engine.predicate)
+      | _ -> ());
       Printf.printf "It selects %d of the %d tuple combinations.\n"
         (selected_tuples universe result.Engine.predicate)
         (Universe.total_tuples universe);
       obs_finish ~trace ~metrics
 
-let cmd_infer r_path p_path relations strategy_name seed verbose engine
-    ubuilder backend resume save trace metrics =
-  match (relations, r_path, p_path) with
-  | Some spec, None, None ->
-      cmd_infer_kary spec strategy_name seed verbose engine ubuilder backend
-        resume save trace metrics
-  | Some _, Some _, _ | Some _, _, Some _ ->
-      Printf.eprintf
-        "infer takes either R.csv P.csv positionals or --relations, not both\n";
-      exit 2
-  | None, Some r, Some p ->
-      cmd_infer_binary r p strategy_name seed verbose engine ubuilder backend
-        resume save trace metrics
-  | None, None, _ | None, _, None ->
-      Printf.eprintf "infer needs R.csv P.csv positionals or --relations\n";
-      exit 2
-
 (* ---------------------------- simulate ---------------------------- *)
 
-let cmd_simulate_binary r_path p_path goal_spec seed verbose engine ubuilder
-    backend trace metrics =
+let cmd_simulate r_path p_path relations goal_spec seed verbose engine
+    ubuilder backend trace metrics =
+  let paths = relation_paths ~cmd:"simulate" r_path p_path relations in
   setup_logs verbose;
   obs_setup ~trace ~metrics;
-  let r, p = load_pair ~backend r_path p_path in
-  let universe = builder_of ~seed ubuilder r p in
+  let rels, universe = load_instance ~seed ubuilder backend paths in
   let omega = Universe.omega universe in
-  let goal = Omega.of_names omega (parse_goal goal_spec) in
-  Printf.printf
-    "Instance: |D| = %d, %d classes, join ratio %.3f (%s universe builder); \
-     goal %s\n"
-    (Universe.total_tuples universe)
-    (Universe.n_classes universe)
-    (Universe.join_ratio universe)
-    (builder_name ubuilder)
-    (Omega.pred_to_string omega goal);
-  List.iter
-    (fun name ->
-      let strategy = strategy_of_name ~seed ~engine name in
-      let result = Inference.run universe strategy (Oracle.honest ~goal) in
-      Printf.printf "  %-4s %4d interactions  %8.4fs  inferred %s%s\n"
-        result.strategy result.n_interactions result.elapsed
-        (Omega.pred_to_string omega result.predicate)
-        (if Inference.verified universe ~goal result then ""
-         else "  [NOT instance-equivalent]"))
-    [ "bu"; "td"; "l1s"; "l2s"; "rnd"; "igs"; "hybrid" ];
-  let td_result = Inference.run universe Strategy.td (Oracle.honest ~goal) in
-  Printf.printf "inferred query as SQL:\n  %s\n"
-    (sql_of_predicate r p omega td_result.predicate);
-  obs_finish ~trace ~metrics
-
-let cmd_simulate_kary spec goal_spec seed verbose engine ubuilder backend
-    trace metrics =
-  setup_logs verbose;
-  obs_setup ~trace ~metrics;
-  let rels = load_relations ~backend spec in
-  let universe = kary_builder_of ~seed ubuilder rels in
-  let omega = Universe.omega universe in
-  let goal = Omega.of_names_kary omega (parse_goal goal_spec) in
+  let goal = goal_of omega (parse_goal goal_spec) in
   Printf.printf
     "Instance: %d relations, |D| = %d, %d classes, join ratio %.3f (%s \
      universe builder); goal %s\n"
@@ -445,25 +325,13 @@ let cmd_simulate_kary spec goal_spec seed verbose engine ubuilder backend
         (if Inference.verified universe ~goal result then ""
          else "  [NOT instance-equivalent]"))
     [ "bu"; "td"; "l1s"; "l2s"; "rnd"; "igs"; "hybrid" ];
+  (match rels with
+  | [ r; p ] ->
+      let td_result = Inference.run universe Strategy.td (Oracle.honest ~goal) in
+      Printf.printf "inferred query as SQL:\n  %s\n"
+        (sql_of_predicate r p omega td_result.predicate)
+  | _ -> ());
   obs_finish ~trace ~metrics
-
-let cmd_simulate r_path p_path relations goal_spec seed verbose engine
-    ubuilder backend trace metrics =
-  match (relations, r_path, p_path) with
-  | Some spec, None, None ->
-      cmd_simulate_kary spec goal_spec seed verbose engine ubuilder backend
-        trace metrics
-  | Some _, Some _, _ | Some _, _, Some _ ->
-      Printf.eprintf
-        "simulate takes either R.csv P.csv positionals or --relations, not \
-         both\n";
-      exit 2
-  | None, Some r, Some p ->
-      cmd_simulate_binary r p goal_spec seed verbose engine ubuilder backend
-        trace metrics
-  | None, None, _ | None, _, None ->
-      Printf.eprintf "simulate needs R.csv P.csv positionals or --relations\n";
-      exit 2
 
 (* ---------------------------- gen-tpch ---------------------------- *)
 
@@ -535,7 +403,7 @@ let cmd_semijoin_cons r_path p_path pos_spec neg_spec =
 
 let cmd_lattice r_path p_path out =
   let r, p = load_pair r_path p_path in
-  let universe = Universe.build r p in
+  let universe = Universe.build [ r; p ] in
   let omega = Universe.omega universe in
   let dot = Lattice.to_dot omega universe in
   (match out with
@@ -597,7 +465,7 @@ let cmd_semijoin_infer r_path p_path max_queries =
    the table has one row per tuple. *)
 let cmd_figure r_path p_path =
   let r, p = load_pair r_path p_path in
-  let universe = Universe.build r p in
+  let universe = Universe.build [ r; p ] in
   let omega = Universe.omega universe in
   if Universe.total_tuples universe > 500 then begin
     Printf.eprintf
@@ -633,7 +501,7 @@ let cmd_figure r_path p_path =
 
 let cmd_analyze r_path p_path =
   let r, p = load_pair r_path p_path in
-  let universe = Universe.build r p in
+  let universe = Universe.build [ r; p ] in
   Fmt.pr "%a@." Jqi_core.Analysis.pp (Jqi_core.Analysis.analyze universe)
 
 (* ------------------------------ query ----------------------------- *)
@@ -896,9 +764,9 @@ let relations_arg =
     value
     & opt (some string) None
     & info [ "relations" ] ~docv:"A.csv,B.csv,C.csv"
-        ~doc:"Infer a k-ary equijoin over two or more comma-separated CSV \
-              files instead of the R.csv P.csv positionals.  The universe is \
-              the k-ary profile quotient; questions show one row per \
+        ~doc:"Infer an equijoin over two or more comma-separated CSV files \
+              instead of the R.csv P.csv positionals (two files are the same \
+              instance as the positionals); questions show one row per \
               relation.")
 
 let seed_arg =
@@ -913,34 +781,15 @@ let strategy_arg =
     & info [ "s"; "strategy" ] ~doc:"Strategy: bu, td, l1s, l2s, rnd, igs, hybrid.")
 
 (* --engine picks the lookahead implementation behind l1s/l2s; the other
-   strategies ignore it.  --domains only matters with --engine parallel. *)
+   strategies ignore it. *)
 let engine_arg =
-  let engine_conv =
-    Arg.enum [ ("fast", `Fast); ("reference", `Reference); ("parallel", `Parallel) ]
-  in
+  let engine_conv = Arg.enum [ ("fast", `Fast); ("reference", `Reference) ] in
   Arg.(
     value & opt engine_conv `Fast
     & info [ "engine" ]
         ~doc:"Lookahead engine for l1s/l2s: $(b,fast) (incremental, memoized, \
-              pruned — the default), $(b,reference) (the direct Algorithm 5 \
-              transcription), or $(b,parallel) (fast engine with candidate \
-              scoring fanned over --domains domains).")
-
-let domains_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ]
-        ~doc:"Domain count for --engine parallel (0 = recommended count).")
-
-let engine_term =
-  Term.(
-    const (fun engine domains ->
-        match engine with
-        | (`Fast | `Reference) as e -> e
-        | `Parallel ->
-            `Parallel
-              (if domains > 0 then domains else Domain.recommended_domain_count ()))
-    $ engine_arg $ domains_arg)
+              pruned — the default) or $(b,reference) (the direct Algorithm 5 \
+              transcription).")
 
 let universe_arg =
   let parse s =
@@ -960,9 +809,9 @@ let universe_arg =
     & opt (conv (parse, print)) `Quotient
     & info [ "universe" ] ~docv:"BUILDER"
         ~doc:"Universe constructor: $(b,quotient) (dictionary-encoded \
-              row-profile quotient — the default), $(b,naive) (the per-pair \
-              reference scan), or $(b,sampled:)$(i,PAIRS) (uniform random \
-              pairs instead of a full scan; approximate).")
+              row-profile quotient — the default), $(b,naive) (the Cartesian \
+              reference scan), or $(b,sampled:)$(i,PAIRS) (that many uniform \
+              random tuples instead of a full scan; approximate).")
 
 let trace_arg =
   Arg.(
@@ -1017,7 +866,7 @@ let infer_cmd =
        ~doc:"Interactively infer an equijoin over two CSV files (or k with \
              --relations)")
     Term.(const cmd_infer $ r_opt_arg $ p_opt_arg $ relations_arg
-          $ strategy_arg $ seed_arg $ verbose_arg $ engine_term $ universe_arg
+          $ strategy_arg $ seed_arg $ verbose_arg $ engine_arg $ universe_arg
           $ backend_term $ resume_arg $ save_arg $ trace_arg $ metrics_arg)
 
 let goal_arg =
@@ -1030,7 +879,7 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Replay inference with a known goal, all strategies")
     Term.(const cmd_simulate $ r_opt_arg $ p_opt_arg $ relations_arg $ goal_arg
-          $ seed_arg $ verbose_arg $ engine_term $ universe_arg $ backend_term
+          $ seed_arg $ verbose_arg $ engine_arg $ universe_arg $ backend_term
           $ trace_arg $ metrics_arg)
 
 let scale_arg = Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Scale factor.")

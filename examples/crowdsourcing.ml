@@ -37,7 +37,7 @@ let () =
   let rows =
     List.concat_map
       (fun (join : Tpch.goal_join) ->
-        let universe = Universe.build join.r join.p in
+        let universe = Universe.build [ join.r; join.p ] in
         let goal = Tpch.goal_predicate (Universe.omega universe) join in
         List.map
           (fun strategy ->

@@ -41,7 +41,7 @@ let hotel =
 
 let play ~title ~goal_pairs strategy =
   Printf.printf "\n== %s ==\n" title;
-  let universe = Universe.build flight hotel in
+  let universe = Universe.build [ flight; hotel ] in
   let omega = Universe.omega universe in
   let goal = Omega.of_names omega goal_pairs in
   Printf.printf "goal (hidden from the strategy): %s\n"
@@ -51,9 +51,9 @@ let play ~title ~goal_pairs strategy =
   List.iter
     (fun (cls, label) ->
       match Universe.representative universe cls with
-      | Some (tf, th) ->
-          Printf.printf "  user labels %s + %s  ->  %s\n"
-            (Tuple.to_string tf) (Tuple.to_string th)
+      | Some tuples ->
+          Printf.printf "  user labels %s  ->  %s\n"
+            (String.concat " + " (Array.to_list (Array.map Tuple.to_string tuples)))
             (match label with Sample.Positive -> "yes, keep it"
                             | Sample.Negative -> "no, drop it")
       | None -> ())

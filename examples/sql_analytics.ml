@@ -28,7 +28,7 @@ let () =
   in
   (* Step 1: infer the customer ⋈ orders join from labels alone. *)
   let join3 = List.nth (Tpch.joins db) 2 in
-  let universe = Universe.build join3.r join3.p in
+  let universe = Universe.build [ join3.r; join3.p ] in
   let omega = Universe.omega universe in
   let goal = Tpch.goal_predicate omega join3 in
   let result =

@@ -33,7 +33,7 @@ let () =
   (* Show one concrete inference in detail. *)
   let prng = Prng.create 99 in
   let r, p = Synth.generate prng config in
-  let universe = Universe.build r p in
+  let universe = Universe.build [ r; p ] in
   let omega = Universe.omega universe in
   match Synth.goals_of_size universe ~size:2 with
   | [] -> print_endline "no size-2 goal on this draw"

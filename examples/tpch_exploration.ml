@@ -29,7 +29,7 @@ let () =
     (Relation.cardinality db.lineitem);
   List.iter
     (fun (join : Tpch.goal_join) ->
-      let universe = Universe.build join.r join.p in
+      let universe = Universe.build [ join.r; join.p ] in
       let omega = Universe.omega universe in
       let goal = Tpch.goal_predicate omega join in
       Printf.printf

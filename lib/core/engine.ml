@@ -27,11 +27,9 @@ let c_answers = Obs.Counter.make "engine.answers"
 type question = {
   class_id : int;
   signature : Bits.t;
-  representative : (Jqi_relational.Tuple.t * Jqi_relational.Tuple.t) option;
   rows : Jqi_relational.Tuple.t array option;
-      (* one representative tuple per relation; the k-ary view of
-         [representative], present whenever the universe carries its
-         relations *)
+      (* one representative tuple per relation, present whenever the
+         universe carries its relations *)
 }
 
 type t = {
@@ -92,8 +90,7 @@ let question_of t cls =
   {
     class_id = cls;
     signature = Universe.signature t.universe cls;
-    representative = Universe.representative t.universe cls;
-    rows = Universe.representative_rows t.universe cls;
+    rows = Universe.representative t.universe cls;
   }
 
 let pending t = Option.map (question_of t) t.pending

@@ -18,14 +18,9 @@
 type question = {
   class_id : int;  (** index into the universe's class array *)
   signature : Jqi_util.Bits.t;  (** T(t) of the class *)
-  representative :
-    (Jqi_relational.Tuple.t * Jqi_relational.Tuple.t) option;
-      (** a concrete tuple pair to show the user, when the universe is
-          binary and was built from relations *)
   rows : Jqi_relational.Tuple.t array option;
-      (** one representative tuple per relation — the k-ary view of
-          [representative], present whenever the universe carries its
-          relations *)
+      (** one concrete tuple per relation to show the user, when the
+          universe was built from relations *)
 }
 
 type t

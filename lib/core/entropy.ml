@@ -20,9 +20,7 @@
 module Bits = Jqi_util.Bits
 module Obs = Jqi_obs.Obs
 
-(* Lookahead-engine counters (doc/OBSERVABILITY.md glossary).  With
-   [score ~domains] > 1 the increments race across domains and may lose
-   updates; the counts are exact in the default sequential mode. *)
+(* Lookahead-engine counters (doc/OBSERVABILITY.md glossary). *)
 let c_memo_hit = Obs.Counter.make "lookahead.memo_hit"
 let c_memo_miss = Obs.Counter.make "lookahead.memo_miss"
 let c_branch_cache_hit = Obs.Counter.make "lookahead.branch_cache_hit"
@@ -366,48 +364,15 @@ let score_candidate ev ~best_lo cls =
   | None -> Obs.Counter.incr c_pruned);
   (cls, e)
 
-let score_chunk state k classes =
-  let ev = evaluator state k in
-  let best_lo = ref min_int in
-  List.map (score_candidate ev ~best_lo) classes
-
-(* Split [l] into [n] contiguous chunks (some possibly empty). *)
-let chunks n l =
-  let len = List.length l in
-  let size = (len + n - 1) / n in
-  let rec take k acc l =
-    if k = 0 then (List.rev acc, l)
-    else match l with [] -> (List.rev acc, []) | x :: xs -> take (k - 1) (x :: acc) xs
-  in
-  let rec go n l = if n = 0 then [] else
-    let c, rest = take size [] l in
-    c :: go (n - 1) rest
-  in
-  go n l
-
 (* Entropy^k of every informative class of [state], ascending class order.
    [None] marks a candidate pruned as strictly worse (its entropy min is
    below another candidate's): pruned entries can never be the skyline
    best nor tie with it, so selection over the [Some] entries chooses
-   exactly the class the reference engine does.  With [domains] > 1 the
-   candidates are scored in contiguous chunks across that many domains,
-   each with its own memo and its own (locally sound) pruning; chunk
-   results are concatenated in class order, every [Some] entry is exact,
-   and the downstream choice is identical to the sequential run's. *)
-let score ?(domains = 1) state ~k =
-  let root = State.view state in
-  match root.State.vinf with
+   exactly the class the reference engine does. *)
+let score state ~k =
+  match (State.view state).State.vinf with
   | [] -> []
   | classes ->
-      if domains <= 1 || List.length classes <= 1 then score_chunk state k classes
-      else
-        let parts =
-          List.filter (fun c -> c <> []) (chunks (min domains (List.length classes)) classes)
-        in
-        let handles =
-          List.map (fun part -> Domain.spawn (fun () -> score_chunk state k part)) parts
-        in
-        List.concat_map Domain.join handles
-(* R11 waiver: deterministic fork/join over immutable state, merged in
-   chunk order; [domains = 1] (the default) never spawns. *)
-[@@lint.allow "R11"]
+      let ev = evaluator state k in
+      let best_lo = ref min_int in
+      List.map (score_candidate ev ~best_lo) classes

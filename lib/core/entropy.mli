@@ -57,9 +57,5 @@ val reference1 : State.t -> int -> t
     pruning with Algorithm 4's selection rule: [None] marks a candidate
     whose entropy min is strictly below another candidate's — it can
     neither be the skyline best nor tie with it, so choosing over the
-    [Some] entries picks exactly the class the reference engine would.
-    [domains] > 1 fans the candidates out over that many domains
-    (contiguous chunks, per-domain memo and per-domain pruning); results
-    are concatenated in class order, every [Some] entry is exact, and the
-    downstream choice is identical to the sequential run's. *)
-val score : ?domains:int -> State.t -> k:int -> (int * t option) list
+    [Some] entries picks exactly the class the reference engine would. *)
+val score : State.t -> k:int -> (int * t option) list

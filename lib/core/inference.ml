@@ -87,7 +87,7 @@ let pp omega ppf r =
     (if r.halted then "" else " (budget exhausted)")
 
 (* Human-readable replay of the session: one line per question, with the
-   representative tuple pair when the universe has backing relations, the
+   k representative tuples when the universe has backing relations, the
    signature otherwise. *)
 let pp_transcript universe ppf r =
   let omega = Universe.omega universe in
@@ -96,9 +96,10 @@ let pp_transcript universe ppf r =
     (fun k (cls, lbl) ->
       let mark = match lbl with Sample.Positive -> "+" | Sample.Negative -> "-" in
       match Universe.representative universe cls with
-      | Some (tr, tp) ->
-          Fmt.pf ppf "%2d. %s %a ⊕ %a@," (k + 1) mark
-            Jqi_relational.Tuple.pp tr Jqi_relational.Tuple.pp tp
+      | Some tuples ->
+          Fmt.pf ppf "%2d. %s %a@," (k + 1) mark
+            Fmt.(array ~sep:(any " ⊕ ") Jqi_relational.Tuple.pp)
+            tuples
       | None ->
           Fmt.pf ppf "%2d. %s signature %a@," (k + 1) mark (Omega.pp_pred omega)
             (Universe.signature universe cls))

@@ -33,6 +33,6 @@ val verified : Universe.t -> goal:Jqi_util.Bits.t -> result -> bool
 
 val pp : Omega.t -> Format.formatter -> result -> unit
 
-(** One line per question (representative tuple pair or signature), then
+(** One line per question (the k representative tuples or signature), then
     the inferred predicate. *)
 val pp_transcript : Universe.t -> Format.formatter -> result -> unit

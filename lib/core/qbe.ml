@@ -23,11 +23,19 @@ type result = {
 let infer universe ~positives ~negatives =
   let omega = Universe.omega universe in
   let module R = Jqi_relational.Relation in
-  let signature_of (i, j) =
+  (* Examples are row pairs, so only a binary universe can read them. *)
+  let r, p =
     match Universe.relations universe with
-    | Some (r, p) -> Tsig.of_tuples omega (R.row r i) (R.row p j)
+    | Some [| r; p |] -> (r, p)
+    | Some rels ->
+        invalid_arg
+          (Printf.sprintf
+             "Qbe.infer: examples are row pairs, but the universe has %d \
+              relations"
+             (Array.length rels))
     | None -> invalid_arg "Qbe.infer: universe has no backing relations"
   in
+  let signature_of (i, j) = Tsig.of_tuples omega (R.row r i) (R.row p j) in
   let pos_sigs = List.map signature_of positives in
   let neg_sigs = List.map signature_of negatives in
   let predicate = Tsig.of_signatures omega pos_sigs in

@@ -51,7 +51,7 @@ let label_of_string = function
   | s -> fail "bad label %S" s
 
 let relations_of universe =
-  match Universe.relation_array universe with
+  match Universe.relations universe with
   | Some rels -> rels
   | None -> fail "session requires a universe built from relations"
 
@@ -263,7 +263,7 @@ let load_full path universe = of_json_full universe (parse_file path)
 let pending_class_rows universe state = function
   | None -> None
   | Some rows -> (
-      match Universe.relation_array universe with
+      match Universe.relations universe with
       | None -> None
       | Some rels -> (
           let ok = ref (Int.equal (Array.length rows) (Array.length rels)) in

@@ -88,8 +88,8 @@ let skyline_choose entropy_of state =
    ([None]) are strictly worse than some exact one, so the best entropy
    and the first class achieving it are those of [skyline_choose] over the
    reference engine — the property pinned by the differential suite. *)
-let skyline_choose_fast ?domains k state =
-  let scored = Entropy.score ?domains state ~k in
+let skyline_choose_fast k state =
+  let scored = Entropy.score state ~k in
   let best = Entropy.best (List.filter_map snd scored) in
   Option.bind best (fun e ->
       List.find_map
@@ -107,14 +107,6 @@ let l2s = make "L2S" (skyline_choose_fast 2)
 let lks k =
   if k < 1 then invalid_arg "Strategy.lks: k must be >= 1";
   make (Printf.sprintf "L%dS" k) (skyline_choose_fast k)
-
-(* LkS with candidate scoring fanned out over [domains] domains; ties
-   still break by class index, so the chosen classes are identical to the
-   sequential run. *)
-let lks_par ~domains k =
-  if k < 1 then invalid_arg "Strategy.lks_par: k must be >= 1";
-  if domains < 1 then invalid_arg "Strategy.lks_par: domains must be >= 1";
-  make (Printf.sprintf "L%dSx%d" k domains) (skyline_choose_fast ~domains k)
 
 (* LkS over the reference engine — the differential oracle's strategies. *)
 let lks_reference k =

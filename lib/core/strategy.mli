@@ -29,12 +29,6 @@ val l2s : t
     [Invalid_argument] on k < 1. *)
 val lks : int -> t
 
-(** LkS with candidate scoring fanned out over [domains] domains.
-    Deterministic: ties break by class index, so parallel and sequential
-    runs choose identical classes.  Raises [Invalid_argument] on k < 1 or
-    domains < 1. *)
-val lks_par : domains:int -> int -> t
-
 (** LkS over the reference lookahead engine ([Entropy.reference_k]) — the
     differential oracle the fast strategies are tested against.  Raises
     [Invalid_argument] on k < 1. *)

@@ -1,5 +1,5 @@
 (* The quotient of the Cartesian product D = R_0 × … × R_{k-1} by the
-   T-signature (k = 2 in the paper; k-ary per ROADMAP item 2).
+   T-signature (k = 2 in the paper; any k >= 2 here).
 
    Whether a tuple is informative, certain, or selected by any predicate
    depends only on T(t) (Lemmas 3.3/3.4), so two tuples with equal
@@ -69,7 +69,7 @@ let rep_min a b =
   in
   go 0
 
-let of_ksignature_list ?relations omega sigs =
+let of_signature_list ?relations omega sigs =
   let k = Omega.n_relations omega in
   (match relations with
   | Some rels ->
@@ -94,19 +94,30 @@ let of_ksignature_list ?relations omega sigs =
   let total = Array.fold_left (fun s c -> s + c.count) 0 classes in
   { omega; classes; total; relations; cache = None }
 
-let of_signature_list ?relations omega sigs =
-  of_ksignature_list
-    ?relations:(Option.map (fun (r, p) -> [| r; p |]) relations)
-    omega
-    (List.map (fun (s, c, (i, j)) -> (s, c, [| i; j |])) sigs)
+(* Ω over the relations in order, one block per relation pair, named
+   after the relations so goals can say "rel.attr". *)
+let omega_of rels =
+  Omega.of_schemas_kary
+    (Array.to_list
+       (Array.map (fun r -> (Relation.name r, Relation.schema r)) rels))
+
+(* Every builder's precondition: at least two relations, none empty. *)
+let check_relations ~entry rels =
+  if Array.length rels < 2 then invalid_arg (entry ^ ": need at least two relations");
+  Array.iter
+    (fun r ->
+      if Relation.cardinality r = 0 then
+        invalid_arg (entry ^ ": empty Cartesian product"))
+    rels
 
 (* The reference per-pair scan: every tuple of R × P gets its own
    [Tsig.of_tuples] call and bitset.  Kept as the executable definition
-   and as the differential oracle for the quotient builders below; the
-   default [build] is [build_quotient]. *)
+   and as the differential oracle for the binary kernel below. *)
 let build_naive r p =
   Obs.span "universe.build_naive" @@ fun () ->
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
+  let rels = [| r; p |] in
+  check_relations ~entry:"Universe.build_naive" rels;
+  let omega = omega_of rels in
   let acc = H.create 256 in
   let nr = Relation.cardinality r and np = Relation.cardinality p in
   for i = 0 to nr - 1 do
@@ -118,11 +129,8 @@ let build_naive r p =
       | None -> H.replace acc s (1, [| i; j |])
     done
   done;
-  let sigs = H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc [] in
-  (match sigs with
-  | [] -> invalid_arg "Universe.build: empty Cartesian product"
-  | _ :: _ -> ());
-  of_ksignature_list ~relations:[| r; p |] omega sigs
+  of_signature_list ~relations:rels omega
+    (H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc [])
 
 (* ---------------- profile-quotient construction ------------------- *)
 
@@ -207,7 +215,7 @@ type kclass = { mutable k_count : int; mutable rep_r : int; mutable rep_p : int 
 
 (* The binary quotient kernel: the classes of rprofs × pprofs, as
    (signature, multiplicity, representative) triples for
-   [of_ksignature_list].  Both profile arrays are in ascending first-row
+   [of_signature_list].  Both profile arrays are in ascending first-row
    order; [n_codes] bounds every code, [m] is P's arity and bit (x, y)
    sits at x·m + y.
 
@@ -328,11 +336,11 @@ let merge_into acc s count rep =
   | Some (c, rep') -> H.replace acc s (c + count, rep_min rep rep')
   | None -> H.add acc s (count, rep)
 
-let build_quotient r p =
+(* The k = 2 builder.  Its span keeps the historical name, which
+   traces and the wire benchmark read. *)
+let build_pair omega r p =
   Obs.span "universe.build_quotient" @@ fun () ->
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
   let nr = Relation.cardinality r and np = Relation.cardinality p in
-  if nr = 0 || np = 0 then invalid_arg "Universe.build: empty Cartesian product";
   let dict = Dict.create ~size:(nr + np) () in
   let rprofs = stream_profiles dict r in
   let pprofs = stream_profiles dict p in
@@ -342,70 +350,26 @@ let build_quotient r p =
   let n_pairs = Array.length rprofs * Array.length pprofs in
   Obs.Counter.add c_profile_pairs n_pairs;
   Obs.Counter.add c_pairs_skipped ((nr * np) - n_pairs);
-  binary_kernel ~n_codes:(Dict.size dict) ~m:(Omega.right_arity omega)
+  binary_kernel ~n_codes:(Dict.size dict) ~m:(Omega.arity_at omega 1)
     ~width:(Omega.width omega) rprofs pprofs
-  |> of_ksignature_list ~relations:[| r; p |] omega
+  |> of_signature_list ~relations:[| r; p |] omega
 
-(* The default constructor is the quotient; [build_naive] remains the
-   differential oracle. *)
-let build r p = build_quotient r p
-
-(* Approximate universe for products too large to scan (the paper's §1:
-   "the database instances may be too big to be skimmed"): draw [pairs]
-   uniform random tuple pairs instead of enumerating R × P.  Signatures
-   that never come up in the sample are invisible, so the inference result
-   is only guaranteed instance-equivalent on the sampled sub-product; rare
-   signatures (small join ratio contributions) are the ones at risk.
-
-   The representative of a class is the lexicographically smallest sampled
-   member ([rep_min], not keep-first-drawn): reps then depend only on the
-   sampled *set* of pairs, never on the order the PRNG produced them —
-   the same determinism contract [build] satisfies, and a
-   sample covering the whole product reproduces their universe exactly. *)
-let build_sampled prng ~pairs r p =
-  if pairs <= 0 then invalid_arg "Universe.build_sampled: need a positive sample size";
-  let nr = Relation.cardinality r and np = Relation.cardinality p in
-  if nr = 0 || np = 0 then invalid_arg "Universe.build_sampled: empty relation";
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
-  let acc = H.create 256 in
-  for _ = 1 to pairs do
-    let i = Jqi_util.Prng.int prng nr and j = Jqi_util.Prng.int prng np in
-    let s = Tsig.of_tuples omega (Relation.row r i) (Relation.row p j) in
-    merge_into acc s 1 [| i; j |]
-  done;
-  let sigs = H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc [] in
-  of_ksignature_list ~relations:[| r; p |] omega sigs
-
-(* ---------------- k-ary construction (ROADMAP item 2) -------------- *)
+(* ---------------- k >= 3 construction ----------------------------- *)
 
 let c_kary_profiles = Obs.Counter.make "universe.kary_profiles"
 let c_kary_work = Obs.Counter.make "universe.kary_work"
 let c_kary_collapsed = Obs.Counter.make "universe.kary_collapsed"
 
-let kary_omega rels =
-  Omega.of_schemas_kary
-    (Array.to_list
-       (Array.map (fun r -> (Relation.name r, Relation.schema r)) rels))
-
-let check_kary ~entry rels =
-  let k = Array.length rels in
-  if k < 2 then invalid_arg (entry ^ ": need at least two relations");
-  Array.iter
-    (fun r ->
-      if Relation.cardinality r = 0 then
-        invalid_arg (entry ^ ": empty Cartesian product"))
-    rels
-
 (* The reference k-way scan: one [Tsig.of_ktuples] per raw tuple of
-   ∏ R_i — the executable definition of the k-ary universe and the
-   differential oracle for [build_kary].  Exponential in k; tests and
-   benches only. *)
+   ∏ R_i — the executable definition of the universe at any k and the
+   differential oracle for [build].  Exponential in k; tests and benches
+   only. *)
 let build_kary_naive rels =
   Obs.span "universe.build_kary_naive" @@ fun () ->
   let rels = Array.of_list rels in
-  check_kary ~entry:"Universe.build_kary" rels;
+  check_relations ~entry:"Universe.build_kary_naive" rels;
   let k = Array.length rels in
-  let omega = kary_omega rels in
+  let omega = omega_of rels in
   let acc = H.create 256 in
   let tuples = Array.make k (Relation.row rels.(0) 0) in
   let rep = Array.make k 0 in
@@ -424,11 +388,11 @@ let build_kary_naive rels =
       done
   in
   scan 0;
-  of_ksignature_list ~relations:rels omega
+  of_signature_list ~relations:rels omega
     (H.fold (fun s (c, r) l -> (s, c, r) :: l) acc [])
 
-(* K-ary quotient: profile grouping per relation (as in the binary
-   quotient), then a trie walk over distinct-profile k-tuples in the
+(* The k >= 3 builder: profile grouping per relation (as in the binary
+   kernel), then a trie walk over distinct-profile k-tuples in the
    leapfrog spirit — relations are levels, profiles are keys, and whole
    subtrees collapse instead of being enumerated.  Two collapses apply:
 
@@ -450,22 +414,17 @@ let build_kary_naive rels =
    lives.
 
    Identical to [build_kary_naive] by the same argument as the binary
-   quotient: same classes and counts by construction, and representatives
-   are min-merged lexicographically smallest row vectors.  For k = 2 the
-   walk degenerates to the profile-pair scan and the result is
-   byte-identical to [build] (asserted in test/test_kary.ml).
+   kernel: same classes and counts by construction, and representatives
+   are min-merged lexicographically smallest row vectors.
 
    [limit] bounds the number of class merges (the unit of real work); a
    walk exceeding it raises [Kary_too_large] — the typed refusal for
    products whose quotient is still too big. *)
 let default_kary_limit = 20_000_000
 
-let build_kary ?(limit = default_kary_limit) rels =
+let build_walk ~limit omega rels =
   Obs.span "universe.build_kary" @@ fun () ->
-  let rels = Array.of_list rels in
-  check_kary ~entry:"Universe.build_kary" rels;
   let k = Array.length rels in
-  let omega = kary_omega rels in
   let width = Omega.width omega in
   let total_rows = Array.fold_left (fun s r -> s + Relation.cardinality r) 0 rels in
   let dict = Dict.create ~size:total_rows () in
@@ -588,24 +547,38 @@ let build_kary ?(limit = default_kary_limit) rels =
     suffix.(m) <- H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc []
   done;
   Obs.Counter.add c_kary_work !work;
-  of_ksignature_list ~relations:rels omega suffix.(0)
+  of_signature_list ~relations:rels omega suffix.(0)
 
-(* K-ary [build_sampled]: draw [tuples] uniform random row vectors.  On
-   k = 2 it draws the same PRNG sequence as [build_sampled], so the two
-   agree given equal seeds.  Like every sampling entry point it depends
-   only on the sampled set (min-rep merge), never on draw order. *)
-let build_sampled_kary prng ~tuples rels =
+(* Arity picks the builder: the kernel handles exactly one relation
+   pair, the walk any longer list. *)
+let build ?(limit = default_kary_limit) rels =
+  let rels = Array.of_list rels in
+  check_relations ~entry:"Universe.build" rels;
+  let omega = omega_of rels in
+  match rels with
+  | [| r; p |] -> build_pair omega r p
+  | _ -> build_walk ~limit omega rels
+
+(* Approximate universe for products too large to scan (the paper's §1:
+   "the database instances may be too big to be skimmed"): draw [tuples]
+   uniform random row vectors instead of enumerating the product, one
+   [Prng.int] per relation in order.  Signatures that never come up in
+   the sample are invisible, so the inference result is only guaranteed
+   instance-equivalent on the sampled sub-product; rare signatures
+   (small join ratio contributions) are the ones at risk.
+
+   The representative of a class is the lexicographically smallest
+   sampled member ([rep_min], not keep-first-drawn): reps then depend only
+   on the sampled *set* of tuples, never on the order the PRNG produced
+   them — the same determinism contract [build] satisfies, and a sample
+   covering the whole product reproduces its universe exactly. *)
+let build_sampled prng ~tuples rels =
   if tuples <= 0 then invalid_arg "Universe.build_sampled: need a positive sample size";
   let rels = Array.of_list rels in
+  check_relations ~entry:"Universe.build_sampled" rels;
   let k = Array.length rels in
-  if k < 2 then invalid_arg "Universe.build_sampled: need at least two relations";
-  Array.iter
-    (fun r ->
-      if Relation.cardinality r = 0 then
-        invalid_arg "Universe.build_sampled: empty relation")
-    rels;
   let ns = Array.map Relation.cardinality rels in
-  let omega = kary_omega rels in
+  let omega = omega_of rels in
   let acc = H.create 256 in
   let row_tuples = Array.make k (Relation.row rels.(0) 0) in
   for _ = 1 to tuples do
@@ -615,7 +588,7 @@ let build_sampled_kary prng ~tuples rels =
     done;
     merge_into acc (Tsig.of_ktuples omega row_tuples) 1 rep
   done;
-  of_ksignature_list ~relations:rels omega
+  of_signature_list ~relations:rels omega
     (H.fold (fun s (c, r) l -> (s, c, r) :: l) acc [])
 
 (* ---------------- incremental maintenance under churn -------------- *)
@@ -650,8 +623,8 @@ let build_sampled_kary prng ~tuples rels =
 
    Classes whose multiplicity reaches zero retire; any signature going
    negative, or a remove that matches no row, raises [Invalid_argument].
-   The result is byte-identical to a from-scratch [build]/[build_kary]
-   on the post-delta relations (test/test_churn.ml pins this
+   The result is byte-identical to a from-scratch [build] on the
+   post-delta relations (test/test_churn.ml pins this
    differentially on random edit scripts, Mem and Paged). *)
 
 module Delta = Jqi_relational.Delta
@@ -863,7 +836,7 @@ let apply_delta t deltas =
   (match sigs with
   | [] -> invalid_arg "Universe.apply_delta: empty Cartesian product"
   | _ :: _ -> ());
-  let u = of_ksignature_list ~relations:rels t.omega sigs in
+  let u = of_signature_list ~relations:rels t.omega sigs in
   u.cache <- Some { dict; codes };
   u
 
@@ -874,32 +847,18 @@ let cls t i = t.classes.(i)
 let total_tuples t = t.total
 let n_relations t = Omega.n_relations t.omega
 
-let relations t =
-  match t.relations with
-  | Some rels when Int.equal (Array.length rels) 2 -> Some (rels.(0), rels.(1))
-  | Some _ | None -> None
-
-let relation_array t = Option.map Array.copy t.relations
-
+let relations t = Option.map Array.copy t.relations
 let signature t i = t.classes.(i).signature
 let count t i = t.classes.(i).count
 
-(* The representative tuple of a class, when the universe was built from
-   actual relations (interactive CLI display). *)
+(* The representative tuples of a class, one per relation, when the
+   universe was built from actual relations (interactive display). *)
 let representative t i =
-  match t.relations with
-  | Some rels when Int.equal (Array.length rels) 2 ->
-      let rep = t.classes.(i).rep in
-      Some (Relation.row rels.(0) rep.(0), Relation.row rels.(1) rep.(1))
-  | Some _ | None -> None
+  Option.map
+    (fun rels -> Array.mapi (fun d ri -> Relation.row rels.(d) ri) t.classes.(i).rep)
+    t.relations
 
-let representative_rows t i =
-  match t.relations with
-  | None -> None
-  | Some rels ->
-      Some (Array.mapi (fun d ri -> Relation.row rels.(d) ri) t.classes.(i).rep)
-
-(* [classes] is sorted by [Bits.compare] (see [of_ksignature_list]), so
+(* [classes] is sorted by [Bits.compare] (see [of_signature_list]), so
    membership is a binary search. *)
 let find_class t signature =
   let rec go lo hi =

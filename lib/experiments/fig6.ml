@@ -21,11 +21,12 @@ type join_result = {
   measurements : Runner.measurement list;
 }
 
-(* [builder] picks the universe constructor (default [Universe.build],
-   i.e. the profile quotient) so the bench can A/B builders and report
-   which one produced the timings. *)
-let run_join ?(builder = Universe.build) ~seed (join : Tpch.goal_join) =
-  let universe = builder join.r join.p in
+(* [builder] picks the universe constructor (default [Universe.build])
+   so the bench can A/B builders and report which one produced the
+   timings. *)
+let run_join ?(builder = fun rels -> Universe.build rels) ~seed
+    (join : Tpch.goal_join) =
+  let universe = builder [ join.r; join.p ] in
   let omega = Universe.omega universe in
   let goal = Tpch.goal_predicate omega join in
   let measurements =

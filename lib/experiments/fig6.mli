@@ -13,15 +13,15 @@ type join_result = {
 type setting = { name : string; scale : int; seed : int }
 
 (** [builder] selects the universe constructor (default
-    [Jqi_core.Universe.build], the profile quotient). *)
+    [Jqi_core.Universe.build]). *)
 val run_join :
   ?builder:
-    (Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Universe.t) ->
+    (Jqi_relational.Relation.t list -> Jqi_core.Universe.t) ->
   seed:int -> Jqi_tpch.Tpch.goal_join -> join_result
 
 val run :
   ?builder:
-    (Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Universe.t) ->
+    (Jqi_relational.Relation.t list -> Jqi_core.Universe.t) ->
   setting -> join_result list
 
 (** Figure 6a/6b as an ASCII bar chart. *)

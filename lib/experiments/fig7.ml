@@ -31,14 +31,15 @@ let max_goal_size = 4
 (* [runs] = independently generated instances; [goals_per_size] caps how
    many distinct goal predicates of each size are exercised per instance
    (None = all of them, the paper's setting). *)
-let run ?(builder = Universe.build) ?(seed = 1) ?(runs = 10) ?goals_per_size config =
+let run ?(builder = fun rels -> Universe.build rels) ?(seed = 1) ?(runs = 10)
+    ?goals_per_size config =
   let prng = Prng.create seed in
   let per_size = Array.make (max_goal_size + 1) [] in
   let ratios = ref [] in
   let goal_counts = Array.make (max_goal_size + 1) 0 in
   for _ = 1 to runs do
     let r, p = Synth.generate prng config in
-    let universe = builder r p in
+    let universe = builder [ r; p ] in
     ratios := Universe.join_ratio universe :: !ratios;
     for size = 0 to max_goal_size do
       let goals = Synth.goals_of_size universe ~size in

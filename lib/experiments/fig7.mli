@@ -19,10 +19,10 @@ val max_goal_size : int
 (** [runs] fresh instances; [goals_per_size] caps the distinct goals
     sampled per size and instance (omit for all of them — the paper's
     setting); [builder] selects the universe constructor (default
-    [Jqi_core.Universe.build], the profile quotient). *)
+    [Jqi_core.Universe.build]). *)
 val run :
   ?builder:
-    (Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Universe.t) ->
+    (Jqi_relational.Relation.t list -> Jqi_core.Universe.t) ->
   ?seed:int -> ?runs:int -> ?goals_per_size:int -> Jqi_synth.Synth.config ->
   config_result
 

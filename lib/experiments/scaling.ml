@@ -40,7 +40,7 @@ let run ?(seed = 23) ?(runs = 3) ?(r_arity = 3) ?(p_arity = 3) ?(values = 100)
       let acc_td = ref 0. and acc_l2s = ref 0. and acc_l2s_t = ref 0. in
       for _ = 1 to runs do
         let r, p = Synth.generate prng config in
-        let universe, dt = Timer.time (fun () -> Universe.build r p) in
+        let universe, dt = Timer.time (fun () -> Universe.build [ r; p ]) in
         acc_build := !acc_build +. dt;
         acc_classes := !acc_classes + Universe.n_classes universe;
         acc_ratio := !acc_ratio +. Universe.join_ratio universe;

@@ -2,12 +2,12 @@
 
    Universe construction is the expensive part of opening a session — the
    profile-quotient scan touches every row of both relations — so it is
-   memoized per relation pair.  The key is the pair of content
+   memoized per relation list.  The key is the list of content
    fingerprints, not the names: re-registering "flights" with new rows
    yields a different fingerprint and a fresh build, while two differently
    registered names over identical content share one universe.
 
-   Concurrency: the universe cache is sharded by fingerprint-pair key
+   Concurrency: the universe cache is sharded by fingerprint-list key
    (one mutex per shard), so sessions over distinct pairs build and look
    up in parallel.  A build runs *inside* its shard's lock — two
    concurrent misses on the same pair produce exactly one build (the
@@ -27,7 +27,7 @@ let c_delta_evicted = Obs.Counter.make "server.universe_cache_delta_evicted"
 
 type ushard = {
   universes : (string, Universe.t) Hashtbl.t [@lint.guarded_by "shards"];
-      (* "fp(R):fp(P)" keyed *)
+      (* "fp(R_0):…:fp(R_{k-1})" keyed *)
   mutable hits : int [@lint.guarded_by "shards"];
   mutable misses : int [@lint.guarded_by "shards"];
 }
@@ -69,10 +69,9 @@ let names t =
     (with_names t (fun () ->
          Hashtbl.fold (fun name _ acc -> name :: acc) t.relations []))
 
-(* One cache serves both arities: the key is the colon-joined fingerprint
-   list, and a binary list builds via [Universe.build] (byte-identical to
-   [Universe.build_kary] on two relations, so mixed lookups are safe). *)
-let universe_list t rels =
+(* The key is the colon-joined fingerprint list, so every arity shares
+   one cache and [Universe.build] alone decides how to build a miss. *)
+let universe t rels =
   let key = String.concat ":" (List.map Relation.fingerprint rels) in
   Shard.with_key t.shards key (fun shard ->
       match Hashtbl.find_opt shard.universes key with
@@ -85,14 +84,10 @@ let universe_list t rels =
           Obs.Counter.incr c_miss;
           let u =
             Obs.span ~attrs:[ ("key", key) ] "server.universe_build" (fun () ->
-                match rels with
-                | [ r; p ] -> Universe.build r p
-                | _ -> Universe.build_kary rels)
+                Universe.build rels)
           in
           Hashtbl.replace shard.universes key u;
           (false, u))
-
-let universe t r p = universe_list t [ r; p ]
 
 (* ---- delta-granularity invalidation ---- *)
 
@@ -160,7 +155,7 @@ let apply_delta t ~name (d : Delta.t) =
         | u' ->
             incr patched;
             Obs.Counter.incr c_patched;
-            (match (Universe.relation_array u', ps) with
+            (match (Universe.relations u', ps) with
             | Some rels, i :: _ when Option.is_none !fresh_rel ->
                 fresh_rel := Some rels.(i)
             | (Some _ | None), _ -> ());

@@ -2,9 +2,9 @@
     for concurrent use.
 
     The catalog names the relations a server may open sessions over, and
-    memoizes [Universe.build] per relation *pair*, keyed by the two
-    {!Jqi_relational.Relation.fingerprint}s.  N sessions over the same
-    CSV pair build Ω once; re-registering a relation with different
+    memoizes [Universe.build] per relation *list*, keyed by the
+    {!Jqi_relational.Relation.fingerprint}s in order.  N sessions over
+    the same CSV pair build Ω once; re-registering a relation with different
     contents changes its fingerprint and naturally misses the cache.
 
     Every operation is safe to call from any domain.  The universe cache
@@ -35,19 +35,12 @@ val find : t -> string -> Jqi_relational.Relation.t option
 (** Registered names, sorted. *)
 val names : t -> string list
 
-(** The universe of R × P, built on first use and cached by content
-    fingerprint.  The flag is [true] on a cache hit (the build was
-    skipped). *)
+(** The universe of R_0 × … × R_{k-1}, built with [Universe.build] on
+    first use and cached under the colon-joined fingerprint list.  The
+    flag is [true] on a cache hit (the build was skipped).  Build errors
+    ([Invalid_argument], [Universe.Kary_too_large]) propagate to the
+    caller. *)
 val universe :
-  t -> Jqi_relational.Relation.t -> Jqi_relational.Relation.t ->
-  bool * Jqi_core.Universe.t
-
-(** K-ary {!universe}: the cache key is the colon-joined fingerprint
-    list; two relations build via [Universe.build], more via
-    [Universe.build_kary] (byte-identical on k = 2, so binary and k-ary
-    lookups share entries).  Build errors ([Invalid_argument],
-    [Universe.Kary_too_large]) propagate to the caller. *)
-val universe_list :
   t -> Jqi_relational.Relation.t list -> bool * Jqi_core.Universe.t
 
 (** Outcome of {!apply_delta}: the post-delta relation now registered

@@ -9,7 +9,7 @@
    atomic counter, so they are globally unique without any global lock.
 
    Eviction keeps the EOF-path guarantee: a swept session is first frozen
-   as a v2 [Session] document (labels, strategy, and the in-flight
+   as a [Session] document (labels, strategy, and the in-flight
    question if one is outstanding) into a bounded per-shard morgue, from
    which [evicted_doc] lets a returning client resume instead of losing
    its answers. *)
@@ -245,10 +245,10 @@ let relation_list t names =
 
 let span_attrs names = [ ("relations", String.concat "," names) ]
 
-(* Shared front of open/resume over any arity.  [Invalid_argument] (fewer
-   than two relations) and [Universe.Kary_too_large] propagate — the
-   service layer renders both as error frames. *)
-let open_list t ~relations ~strategy =
+(* [Invalid_argument] (fewer than two relations) and
+   [Universe.Kary_too_large] propagate — the service layer renders both
+   as error frames. *)
+let open_session t ~relations ~strategy =
   Obs.span ~attrs:(span_attrs relations) "server.open" (fun () ->
       match relation_list t relations with
       | Error e -> Error e
@@ -256,7 +256,7 @@ let open_list t ~relations ~strategy =
           match Strategy.of_name ~seed:t.seed strategy with
           | None -> Error (Unknown_strategy strategy)
           | Some strat ->
-              let cache_hit, universe = Catalog.universe_list t.catalog rels in
+              let cache_hit, universe = Catalog.universe t.catalog rels in
               let engine = Engine.create universe strat in
               Obs.Counter.incr c_opened;
               Ok
@@ -264,14 +264,12 @@ let open_list t ~relations ~strategy =
                    ~strategy_name:(Strategy.name strat) ~universe ~cache_hit
                    ~resumed:false engine)))
 
-let open_session t ~r ~p ~strategy = open_list t ~relations:[ r; p ] ~strategy
-
-let resume_list t ~relations ?strategy doc =
+let resume_session t ~relations ?strategy doc =
   Obs.span ~attrs:(span_attrs relations) "server.resume" (fun () ->
       match relation_list t relations with
       | Error e -> Error e
       | Ok rels -> (
-          let cache_hit, universe = Catalog.universe_list t.catalog rels in
+          let cache_hit, universe = Catalog.universe t.catalog rels in
           match Session.of_json_full universe doc with
           | exception Session.Corrupt msg -> Error (Corrupt_session msg)
           | exception Session.Stale_label { signature; label } ->
@@ -303,9 +301,6 @@ let resume_list t ~relations ?strategy doc =
                         (register t ~rel_names:relations
                            ~strategy_name:(Strategy.name strat) ~universe
                            ~cache_hit ~resumed:true engine)))))
-
-let resume_session t ~r ~p ?strategy doc =
-  resume_list t ~relations:[ r; p ] ?strategy doc
 
 (* Run [f] on the live session [id] under its shard's lock, stamping the
    idle clock.  All reads and writes of a session happen inside this. *)
@@ -358,8 +353,9 @@ let tell t id label =
                   session.s_engine <- Engine.answer session.s_engine label;
                   Ok (turn_of shard session))))
 
-(* Freeze a session as a v2 document: labels, strategy, and the pending
-   question.  Called under the shard lock (from [save] and [sweep]). *)
+(* Freeze a session as a document (v2 binary, v3 k-ary): labels,
+   strategy, and the pending question.  Called under the shard lock (from
+   [save] and [sweep]). *)
 let doc_of_session session =
   let pending =
     match Engine.pending session.s_engine with
@@ -407,7 +403,7 @@ let recertify_one t s =
       | Corrupt_session _ | Stale_label _ | Bad_delta _ ) ->
       Error "a session relation left the catalog"
   | Ok rels -> (
-      match Catalog.universe_list t.catalog rels with
+      match Catalog.universe t.catalog rels with
       | exception Universe.Kary_too_large { work; limit } ->
           Error
             (Printf.sprintf

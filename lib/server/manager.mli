@@ -17,7 +17,7 @@
     Every call stamps the session's last-activity time from the
     manager's clock ([Obs.now] unless injected), and [sweep] evicts
     sessions idle longer than [idle_timeout] — first freezing each as a
-    v2 session document retrievable via {!evicted_doc}, the same
+    session document retrievable via {!evicted_doc}, the same
     autosave guarantee the CLI's EOF path gives (in-flight pending
     question included).  All activity ticks [server.*] Obs counters
     (best-effort across domains); {!shard_stats} and {!stats} are exact,
@@ -94,31 +94,21 @@ val load : t -> name:string -> string -> Jqi_relational.Relation.t
 (** Number of session shards. *)
 val shards : t -> int
 
-(** Open a fresh session over two catalog relations with a strategy
-    named as in [Strategy.of_name].  Equivalent to {!open_list} over the
-    two-element relation list. *)
+(** Open a fresh session over [relations] catalog names, in order, with
+    a strategy named as in [Strategy.of_name].  Two names give the
+    paper's binary session.  The universe comes from {!Catalog.universe};
+    build errors ([Invalid_argument] on fewer than two relations,
+    [Universe.Kary_too_large] for k ≥ 3) propagate to the caller. *)
 val open_session :
-  t -> r:string -> p:string -> strategy:string -> (info, error) result
-
-(** Open a fresh session over [relations] catalog names, in order.  Two
-    names give the classic binary session; three or more build a k-ary
-    quotient universe via [Universe.build_kary].  Build errors
-    ([Invalid_argument] on degenerate lists, [Universe.Kary_too_large])
-    propagate to the caller. *)
-val open_list :
   t -> relations:string list -> strategy:string -> (info, error) result
 
-(** Thaw a [Session] document (v1 or v2) into a live session.
-    [strategy] overrides the persisted strategy name; without either the
-    default is td.  A persisted in-flight question is re-presented when
-    it is still informative. *)
+(** Thaw a [Session] document into a live session over [relations]
+    catalog names.  Binary sessions load v1, v2 or v3 documents; k ≥ 3
+    sessions need v3.  [strategy] overrides the persisted strategy name;
+    without either the default is td.  A persisted in-flight question is
+    re-presented when it is still informative.  Build errors propagate
+    as in {!open_session}. *)
 val resume_session :
-  t -> r:string -> p:string -> ?strategy:string -> Jqi_util.Json.t ->
-  (info, error) result
-
-(** K-ary {!resume_session}: thaw a session document (v3 for k > 2, any
-    version for two relations) over [relations] catalog names. *)
-val resume_list :
   t -> relations:string list -> ?strategy:string -> Jqi_util.Json.t ->
   (info, error) result
 
@@ -129,8 +119,8 @@ val ask : t -> string -> (turn, error) result
 (** Label the outstanding question; returns the following turn. *)
 val tell : t -> string -> Jqi_core.Sample.label -> (turn, error) result
 
-(** Freeze the session as a v2 [Session] document (strategy + pending
-    question included). *)
+(** Freeze the session as a [Session] document (strategy + pending
+    question included): v2 for binary sessions, v3 for k ≥ 3. *)
 val save : t -> string -> (Jqi_util.Json.t, error) result
 
 val close : t -> string -> (unit, error) result
@@ -170,7 +160,7 @@ val apply_delta :
   (delta_info, error) result
 
 (** Evict sessions idle past [idle_timeout]; returns the evicted ids,
-    sorted.  Each evicted session is autosaved first — its v2 document
+    sorted.  Each evicted session is autosaved first — its document
     (in-flight pending question included) lands in a bounded per-shard
     store readable via {!evicted_doc}.  No-op without a timeout. *)
 val sweep : t -> string list

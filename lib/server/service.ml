@@ -32,6 +32,25 @@ let opened (info : Manager.info) =
       cache_hit = info.Manager.cache_hit;
     }
 
+(* The one path behind open/open_kary and resume/resume_kary: [open_]
+   builds (or fetches) the universe, and this is the only place its
+   build errors become error frames. *)
+let open_frame open_ =
+  match open_ () with
+  | exception Invalid_argument message ->
+      Protocol.Error { code = "invalid"; message }
+  | exception Universe.Kary_too_large { work; limit } ->
+      Protocol.Error
+        {
+          code = "too_large";
+          message =
+            Printf.sprintf
+              "k-ary universe too large: %d work units exceeds limit %d" work
+              limit;
+        }
+  | Ok info -> opened info
+  | Error e -> error e
+
 let cells tuple = List.map Value.to_string (Tuple.to_list tuple)
 
 (* Binary sessions keep the historical [Question] frame byte-for-byte;
@@ -41,9 +60,9 @@ let render_question universe session (q : Engine.question) =
   let rep = (Universe.cls universe q.Engine.class_id).Universe.rep in
   if Universe.n_relations universe = 2 then
     let r_cells, p_cells =
-      match q.Engine.representative with
-      | Some (tr, tp) -> (cells tr, cells tp)
-      | None -> ([], [])
+      match q.Engine.rows with
+      | Some [| tr; tp |] -> (cells tr, cells tp)
+      | Some _ | None -> ([], [])
     in
     Protocol.Question
       {
@@ -124,12 +143,11 @@ let handle manager request =
       | exception Invalid_argument message ->
           Protocol.Error { code = "csv"; message }
       | rel -> Protocol.Loaded { name; rows = Relation.cardinality rel })
-  | Protocol.Open_session { r; p; strategy } -> (
-      match Manager.open_session manager ~r ~p ~strategy with
-      | exception Invalid_argument message ->
-          Protocol.Error { code = "invalid"; message }
-      | Ok info -> opened info
-      | Error e -> error e)
+  | Protocol.Open_session { r; p; strategy } ->
+      open_frame (fun () ->
+          Manager.open_session manager ~relations:[ r; p ] ~strategy)
+  | Protocol.Open_kary { relations; strategy } ->
+      open_frame (fun () -> Manager.open_session manager ~relations ~strategy)
   | Protocol.Ask { session } -> (
       match Manager.ask manager session with
       | Ok turn -> render_turn manager session turn
@@ -142,42 +160,12 @@ let handle manager request =
       match Manager.save manager session with
       | Ok doc -> Protocol.Saved { session; doc }
       | Error e -> error e)
-  | Protocol.Resume { r; p; strategy; doc } -> (
-      match Manager.resume_session manager ~r ~p ?strategy doc with
-      | exception Invalid_argument message ->
-          Protocol.Error { code = "invalid"; message }
-      | Ok info -> opened info
-      | Error e -> error e)
-  | Protocol.Open_kary { relations; strategy } -> (
-      match Manager.open_list manager ~relations ~strategy with
-      | exception Invalid_argument message ->
-          Protocol.Error { code = "invalid"; message }
-      | exception Universe.Kary_too_large { work; limit } ->
-          Protocol.Error
-            {
-              code = "too_large";
-              message =
-                Printf.sprintf
-                  "k-ary universe too large: %d work units exceeds limit %d"
-                  work limit;
-            }
-      | Ok info -> opened info
-      | Error e -> error e)
-  | Protocol.Resume_kary { relations; strategy; doc } -> (
-      match Manager.resume_list manager ~relations ?strategy doc with
-      | exception Invalid_argument message ->
-          Protocol.Error { code = "invalid"; message }
-      | exception Universe.Kary_too_large { work; limit } ->
-          Protocol.Error
-            {
-              code = "too_large";
-              message =
-                Printf.sprintf
-                  "k-ary universe too large: %d work units exceeds limit %d"
-                  work limit;
-            }
-      | Ok info -> opened info
-      | Error e -> error e)
+  | Protocol.Resume { r; p; strategy; doc } ->
+      open_frame (fun () ->
+          Manager.resume_session manager ~relations:[ r; p ] ?strategy doc)
+  | Protocol.Resume_kary { relations; strategy; doc } ->
+      open_frame (fun () ->
+          Manager.resume_session manager ~relations ?strategy doc)
   | Protocol.Delta { relation; insert; delete } -> (
       match Catalog.find (Manager.catalog manager) relation with
       | None -> error (Manager.Unknown_relation relation)

@@ -20,7 +20,7 @@ let p0 =
     [ Tuple.ints [ 1; 1; 0 ]; Tuple.ints [ 0; 1; 2 ]; Tuple.ints [ 2; 0; 0 ] ]
 
 let omega0 = Omega.of_schemas (Relation.schema r0) (Relation.schema p0)
-let universe0 = Universe.build r0 p0
+let universe0 = Universe.build [ r0; p0 ]
 
 (* Attribute-pair shorthand: indexes are 0-based, the paper's A1 is index 0. *)
 let pred0 pairs = Omega.of_pairs omega0 pairs

@@ -29,10 +29,12 @@ let test_recommendation_regimes () =
     let module T = Jqi_relational.Tuple in
     let module S = Jqi_relational.Schema in
     Universe.build
-      (R.of_list ~name:"r" ~schema:(S.of_names ~ty:Jqi_relational.Value.TInt [ "a" ])
-         [ T.ints [ 1 ]; T.ints [ 2 ] ])
-      (R.of_list ~name:"p" ~schema:(S.of_names ~ty:Jqi_relational.Value.TInt [ "b" ])
-         [ T.ints [ 1 ] ])
+      [
+        R.of_list ~name:"r" ~schema:(S.of_names ~ty:Jqi_relational.Value.TInt [ "a" ])
+          [ T.ints [ 1 ]; T.ints [ 2 ] ];
+        R.of_list ~name:"p" ~schema:(S.of_names ~ty:Jqi_relational.Value.TInt [ "b" ])
+          [ T.ints [ 1 ] ];
+      ]
   in
   let fa = Analysis.analyze flat in
   Alcotest.(check bool) "flat recommends TD" true
@@ -49,7 +51,7 @@ let test_large_class_count_recommendation () =
         let bits =
           List.filter (fun b -> (k + 1) lsr b land 1 = 1) (List.init 10 Fun.id)
         in
-        (Jqi_util.Bits.of_list 10 bits, 1, (k, 0)))
+        (Jqi_util.Bits.of_list 10 bits, 1, [| k; 0 |]))
   in
   let u = Universe.of_signature_list omega sigs in
   let a = Analysis.analyze u in

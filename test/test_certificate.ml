@@ -56,7 +56,7 @@ let test_random_instances () =
   let prng = Prng.create 19 in
   for _ = 1 to 30 do
     let r, p = Jqi_synth.Synth.generate prng (Jqi_synth.Synth.config 2 2 6 3) in
-    let universe = Universe.build r p in
+    let universe = Universe.build [ r; p ] in
     let goals =
       Jqi_core.Omega.empty (Universe.omega universe)
       :: Universe.signatures universe

@@ -2,7 +2,7 @@
 
    The centerpiece is the differential oracle for incremental universe
    maintenance: [Universe.apply_delta] must be byte-identical — classes,
-   counts and representatives — to a from-scratch [build]/[build_kary]
+   counts and representatives — to a from-scratch [build]
    over the post-delta relations, on random interleaved insert/delete
    edit scripts, on both Mem and Paged backends.  Around it sit unit
    tests for the delta plumbing (resolution, Mem/Paged application,
@@ -288,7 +288,7 @@ let test_relation_apply_delta_paged () =
 (* --------------------- universe delta, deterministic -------------- *)
 
 let build_of rows_r rows_p =
-  Universe.build (relation_of "r" "a" rows_r) (relation_of "p" "b" rows_p)
+  Universe.build [ relation_of "r" "a" rows_r; relation_of "p" "b" rows_p ]
 
 let test_universe_insert_only () =
   let rows_r = List.map Tuple.ints [ [ 1; 2 ]; [ 2; 1 ]; [ 1; 2 ] ] in
@@ -365,11 +365,11 @@ let test_universe_kary_delta () =
   let r1 = List.map Tuple.ints [ [ 2 ]; [ 3 ] ] in
   let r2 = List.map Tuple.ints [ [ 3; 1 ]; [ 1; 1 ]; [ 3; 1 ] ] in
   let rels = [ relation_of "r0" "a" r0; relation_of "r1" "b" r1; relation_of "r2" "c" r2 ] in
-  let u = Universe.build_kary rels in
+  let u = Universe.build rels in
   let d = Delta.of_lists ~adds:[ Tuple.ints [ 1; 1 ] ] ~removes:[ Tuple.ints [ 3; 1 ] ] in
   let u' = Universe.apply_delta u [ (2, d) ] in
   let rebuilt =
-    Universe.build_kary
+    Universe.build
       [ relation_of "r0" "a" r0; relation_of "r1" "b" r1;
         relation_of "r2" "c" (apply_ref r2 d) ]
   in
@@ -425,9 +425,9 @@ let run_script ~kary (init_r, batches) =
   let p = relation_of "p" "b" rows_p in
   let build rows =
     if kary then
-      Universe.build_kary
+      Universe.build
         [ relation_of "r" "a" rows; p; relation_of "q" "c" rows_p ]
-    else Universe.build (relation_of "r" "a" rows) p
+    else Universe.build [ relation_of "r" "a" rows; p ]
   in
   let u0 = build init_r in
   let rec go u rows = function
@@ -466,14 +466,14 @@ let run_script_paged (init_r, batches) =
     Relstore.of_relation ~page_size:512 ~pool_frames:4 ~dest:(tmp_path ".jqh")
       (relation_of "r" "a" init_r)
   in
-  let u0 = Universe.build (Relstore.relation store) p in
+  let u0 = Universe.build [ Relstore.relation store; p ] in
   let rec go u rows = function
     | [] -> true
     | batch :: rest ->
         let d = delta_of_batch rows batch in
         let u' = Universe.apply_delta u [ (0, d) ] in
         let rows' = apply_ref rows d in
-        universes_agree (Universe.build (relation_of "r" "a" rows') p) u'
+        universes_agree (Universe.build [ relation_of "r" "a" rows'; p ]) u'
         && go u' rows' rest
   in
   let ok = go u0 init_r batches in

@@ -136,7 +136,7 @@ let build_instance (ra, pa, rrows, prows) =
            (List.init arity (fun i -> Printf.sprintf "%s%d" prefix (i + 1))))
       rows
   in
-  Jqi_core.Universe.build (mk "R" "A" ra rrows) (mk "P" "B" pa prows)
+  Jqi_core.Universe.build [ mk "R" "A" ra rrows; mk "P" "B" pa prows ]
 
 let arb_instance =
   QCheck.make gen_instance

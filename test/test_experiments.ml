@@ -26,7 +26,7 @@ let test_best_by_interactions () =
   | None -> Alcotest.fail "expected a winner"
 
 let test_run_goal_shape () =
-  let universe = Jqi_core.Universe.build Fixtures.r0 Fixtures.p0 in
+  let universe = Jqi_core.Universe.build [ Fixtures.r0; Fixtures.p0 ] in
   let goal = Fixtures.pred0 [ (0, 2) ] in
   let ms = E.Runner.run_goal universe ~goal (E.Runner.paper_strategies ~seed:1 ()) in
   Alcotest.(check (list string)) "strategy order" E.Runner.strategy_names

@@ -79,7 +79,7 @@ let test_hybrid_matches_l2s_after_positive () =
 
 let test_sampled_universe_shape () =
   let prng = Prng.create 3 in
-  let u = Universe.build_sampled prng ~pairs:500 r0 p0 in
+  let u = Universe.build_sampled prng ~tuples:500 [ r0; p0 ] in
   Alcotest.(check int) "total = sample size" 500 (Universe.total_tuples u);
   (* With 500 draws over a 12-tuple product every signature shows up. *)
   Alcotest.(check int) "all signatures seen" (Universe.n_classes universe0)
@@ -93,7 +93,7 @@ let test_sampled_universe_shape () =
 
 let test_sampled_universe_inference () =
   let prng = Prng.create 9 in
-  let u = Universe.build_sampled prng ~pairs:400 r0 p0 in
+  let u = Universe.build_sampled prng ~tuples:400 [ r0; p0 ] in
   let goal = pred0 [ (0, 0); (1, 2) ] in
   let result = Inference.run u Strategy.td (Oracle.honest ~goal) in
   Alcotest.(check bool) "equivalent on the sampled universe" true
@@ -102,7 +102,7 @@ let test_sampled_universe_inference () =
 let test_sampled_universe_validation () =
   let prng = Prng.create 1 in
   Alcotest.(check bool) "zero pairs rejected" true
-    (try ignore (Universe.build_sampled prng ~pairs:0 r0 p0); false
+    (try ignore (Universe.build_sampled prng ~tuples:0 [ r0; p0 ]); false
      with Invalid_argument _ -> true)
 
 (* ----------------------------- QBE -------------------------------- *)
@@ -150,6 +150,23 @@ let test_qbe_matches_interactive () =
   Alcotest.(check bool) "same instance-equivalent predicate" true
     (Universe.equivalent universe0 qbe.predicate interactive.predicate)
 
+(* Qbe examples are row pairs: a k = 3 universe is refused for its
+   arity, not mistaken for one without relations. *)
+let test_qbe_rejects_three_relations () =
+  let u = Universe.build [ r0; p0; r0 ] in
+  Alcotest.check_raises "three relations"
+    (Invalid_argument
+       "Qbe.infer: examples are row pairs, but the universe has 3 relations")
+    (fun () -> ignore (Qbe.infer u ~positives:[ (0, 0) ] ~negatives:[]))
+
+let test_qbe_rejects_no_relations () =
+  let u =
+    Universe.of_signature_list omega0 [ (Omega.empty omega0, 1, [| 0; 0 |]) ]
+  in
+  Alcotest.check_raises "no relations"
+    (Invalid_argument "Qbe.infer: universe has no backing relations")
+    (fun () -> ignore (Qbe.infer u ~positives:[ (0, 0) ] ~negatives:[]))
+
 let suite =
   [
     Alcotest.test_case "majority validation" `Quick test_majority_validation;
@@ -165,4 +182,8 @@ let suite =
     Alcotest.test_case "qbe surprise reporting" `Quick test_qbe_surprise;
     Alcotest.test_case "qbe inconsistency" `Quick test_qbe_inconsistent;
     Alcotest.test_case "qbe matches interactive" `Quick test_qbe_matches_interactive;
+    Alcotest.test_case "qbe rejects a 3-relation universe" `Quick
+      test_qbe_rejects_three_relations;
+    Alcotest.test_case "qbe rejects a universe without relations" `Quick
+      test_qbe_rejects_no_relations;
   ]

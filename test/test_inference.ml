@@ -20,7 +20,7 @@ module Inference = Jqi_core.Inference
 (* The introduction's scenario: Q1 and Q2 over Flight ⋈ Hotel must be
    recovered exactly (they are distinguishable on this instance). *)
 let test_flight_hotel () =
-  let universe = Universe.build flight hotel in
+  let universe = Universe.build [ flight; hotel ] in
   let omega = Universe.omega universe in
   let q1 = Omega.of_names omega [ ("To", "City") ] in
   let q2 = Omega.of_names omega [ ("To", "City"); ("Airline", "Discount") ] in
@@ -40,7 +40,7 @@ let test_flight_hotel () =
     [ q1; q2 ]
 
 let test_result_metadata () =
-  let universe = Universe.build flight hotel in
+  let universe = Universe.build [ flight; hotel ] in
   let omega = Universe.omega universe in
   let goal = Omega.of_names omega [ ("To", "City") ] in
   let result = Inference.run universe Strategy.td (Oracle.honest ~goal) in
@@ -51,7 +51,7 @@ let test_result_metadata () =
   Alcotest.(check bool) "elapsed non-negative" true (result.elapsed >= 0.)
 
 let test_budget () =
-  let universe = Universe.build flight hotel in
+  let universe = Universe.build [ flight; hotel ] in
   let omega = Universe.omega universe in
   let goal = Omega.of_names omega [ ("To", "City") ] in
   let result =
@@ -84,7 +84,7 @@ let test_halt_condition () =
     (State.tpos result.state) result.predicate
 
 let test_transcript () =
-  let universe = Universe.build flight hotel in
+  let universe = Universe.build [ flight; hotel ] in
   let omega = Universe.omega universe in
   let goal = Omega.of_names omega [ ("To", "City") ] in
   let result = Inference.run universe Strategy.td (Oracle.honest ~goal) in
@@ -119,7 +119,7 @@ let build_instance (ra, pa, rrows, prows) =
            (List.init arity (fun i -> Printf.sprintf "%s%d" prefix (i + 1))))
       rows
   in
-  Universe.build (mk "R" "A" ra rrows) (mk "P" "B" pa prows)
+  Universe.build [ mk "R" "A" ra rrows; mk "P" "B" pa prows ]
 
 let arb_instance =
   QCheck.make gen_instance

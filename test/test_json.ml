@@ -276,7 +276,7 @@ let test_session_survives_data_growth () =
          (Jqi_relational.Relation.rows Fixtures.r0)
          [| Jqi_relational.Tuple.ints [ 7; 7 ] |])
   in
-  let grown = Universe.build grown_r Fixtures.p0 in
+  let grown = Universe.build [ grown_r; Fixtures.p0 ] in
   let resumed = Session.of_json grown json in
   Alcotest.check bits_testable "same T(S+) on grown instance"
     (State.tpos st) (State.tpos resumed);

@@ -2,11 +2,12 @@
    duplicate-heavy instances over 2–4 relations, Leapfrog Triejoin (under
    every candidate variable ordering) must agree with the left-deep
    pairwise composition and with the never-optimized nested-loop oracle
-   on result multisets; [Universe.build_kary] must reproduce
-   [Universe.build_kary_naive] exactly, degenerate byte-identically to
-   [Universe.build] on two relations, and refuse oversized walks with
-   the typed [Kary_too_large]; sampled k-ary universes must depend only
-   on the seed and collapse to [build_sampled] on k = 2. *)
+   on result multisets; [Universe.build] must reproduce
+   [Universe.build_kary_naive] exactly at every k, match the binary
+   oracle [build_naive] on two relations, and refuse oversized k >= 3
+   walks with the typed [Kary_too_large] (never at k = 2); sampled
+   universes must depend only on the seed and, on two relations, draw
+   each pair as (row of R, row of P). *)
 
 module Bits = Jqi_util.Bits
 module Prng = Jqi_util.Prng
@@ -234,7 +235,7 @@ let qcheck_kary_quotient_equals_naive =
     (arb_instance ~min_k:2 ~max_k:4 ~max_rows:4)
     (fun rowss ->
       let rels = relations_of rowss in
-      universes_agree (Universe.build_kary_naive rels) (Universe.build_kary rels))
+      universes_agree (Universe.build_kary_naive rels) (Universe.build rels))
 
 let qcheck_k2_is_binary_build =
   QCheck.Test.make ~name:"k = 2 build_kary = Universe.build (byte identity)"
@@ -243,7 +244,7 @@ let qcheck_k2_is_binary_build =
     (fun rowss ->
       match relations_of rowss with
       | [ r; p ] ->
-          let b = Universe.build r p and k = Universe.build_kary [ r; p ] in
+          let b = Universe.build [ r; p ] and k = Universe.build_naive r p in
           universes_agree b k
           && Int.equal
                (Omega.width (Universe.omega b))
@@ -256,8 +257,8 @@ let qcheck_sampled_kary_deterministic =
     (arb_instance ~min_k:2 ~max_k:3 ~max_rows:4)
     (fun rowss ->
       let rels = relations_of rowss in
-      let u1 = Universe.build_sampled_kary (Prng.create 7) ~tuples:20 rels in
-      let u2 = Universe.build_sampled_kary (Prng.create 7) ~tuples:20 rels in
+      let u1 = Universe.build_sampled (Prng.create 7) ~tuples:20 rels in
+      let u2 = Universe.build_sampled (Prng.create 7) ~tuples:20 rels in
       universes_agree u1 u2)
 
 let qcheck_sampled_k2_matches_binary =
@@ -266,9 +267,34 @@ let qcheck_sampled_k2_matches_binary =
     (fun rowss ->
       match relations_of rowss with
       | [ r; p ] ->
-          universes_agree
-            (Universe.build_sampled (Prng.create 11) ~pairs:15 r p)
-            (Universe.build_sampled_kary (Prng.create 11) ~tuples:15 [ r; p ])
+          (* The binary sampling contract, by hand: draw row i of R then
+             row j of P per tuple, group by T(i, j), keep the smallest
+             drawn pair per class. *)
+          let prng = Prng.create 11 in
+          let omega = Universe.omega (Universe.build_naive r p) in
+          let tbl = Hashtbl.create 16 in
+          for _ = 1 to 15 do
+            let i = Prng.int prng (Relation.cardinality r) in
+            let j = Prng.int prng (Relation.cardinality p) in
+            let s =
+              Jqi_core.Tsig.of_tuples omega (Relation.row r i) (Relation.row p j)
+            in
+            let key = Bits.elements s in
+            match Hashtbl.find_opt tbl key with
+            | Some (c, rep) -> Hashtbl.replace tbl key (c + 1, min rep (i, j))
+            | None -> Hashtbl.replace tbl key (1, (i, j))
+          done;
+          let u = Universe.build_sampled (Prng.create 11) ~tuples:15 [ r; p ] in
+          Int.equal (Hashtbl.length tbl) (Universe.n_classes u)
+          && Array.for_all
+               (fun (c : Universe.cls) ->
+                 match Hashtbl.find_opt tbl (Bits.elements c.Universe.signature) with
+                 | Some (count, (i, j)) ->
+                     Int.equal count c.Universe.count
+                     && Int.equal i c.Universe.rep.(0)
+                     && Int.equal j c.Universe.rep.(1)
+                 | None -> false)
+               (Universe.classes u)
       | _ -> false)
 
 let test_kary_too_large () =
@@ -278,28 +304,42 @@ let test_kary_too_large () =
     relation_of name pre (List.init n (fun i -> Tuple.of_list [ Value.Int i ]))
   in
   let rels = [ mk "r" "a" 5; mk "p" "b" 5; mk "q" "c" 5 ] in
-  (match Universe.build_kary ~limit:10 rels with
+  (match Universe.build ~limit:10 rels with
   | _ -> Alcotest.fail "expected Kary_too_large"
   | exception Universe.Kary_too_large { work; limit } ->
       Alcotest.(check int) "limit echoed" 10 limit;
       Alcotest.(check bool) "work exceeds limit" true (work > limit));
   (* The same product fits a generous limit and matches the oracle. *)
-  let u = Universe.build_kary ~limit:1_000_000 rels in
+  let u = Universe.build ~limit:1_000_000 rels in
   Alcotest.(check bool) "generous limit agrees with naive" true
     (universes_agree (Universe.build_kary_naive rels) u)
+
+(* The work limit bounds the k >= 3 walk only: the pair kernel ignores
+   it, so even a limit of 1 builds every binary universe. *)
+let test_limit_ignored_at_k2 () =
+  let mk name pre n =
+    relation_of name pre (List.init n (fun i -> Tuple.of_list [ Value.Int i ]))
+  in
+  let r = mk "r" "a" 6 and p = mk "p" "b" 7 in
+  match Universe.build ~limit:1 [ r; p ] with
+  | u ->
+      Alcotest.(check bool) "limit 1 agrees with naive" true
+        (universes_agree (Universe.build_naive r p) u)
+  | exception Universe.Kary_too_large _ ->
+      Alcotest.fail "Kary_too_large raised on two relations"
 
 let test_kary_validation () =
   let r = relation_of "r" "a" [ Tuple.of_list [ Value.Int 1 ] ] in
   Alcotest.(check bool) "fewer than two relations" true
-    (match Universe.build_kary [ r ] with
+    (match Universe.build [ r ] with
     | _ -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "sampled: fewer than two relations" true
-    (match Universe.build_sampled_kary (Prng.create 1) ~tuples:5 [ r ] with
+    (match Universe.build_sampled (Prng.create 1) ~tuples:5 [ r ] with
     | _ -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "sampled: non-positive sample" true
-    (match Universe.build_sampled_kary (Prng.create 1) ~tuples:0 [ r; r ] with
+    (match Universe.build_sampled (Prng.create 1) ~tuples:0 [ r; r ] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -322,3 +362,7 @@ let suite =
         qcheck_sampled_kary_deterministic;
         qcheck_sampled_k2_matches_binary;
       ]
+  @ [
+      Alcotest.test_case "build ~limit:1 never trips at k = 2" `Quick
+        test_limit_ignored_at_k2;
+    ]

@@ -1,6 +1,6 @@
 (* The lookahead acceleration layer, gated end-to-end by a differential
    oracle: the fast engine (incremental certainty views, canonical-state
-   memoization, skyline pruning, optional domain fan-out) must return the
+   memoization, skyline pruning) must return the
    same entropies and make the same choices as [Entropy.reference_k], the
    direct transcription of Algorithms 4/5, on randomized universes — plus
    seeded regressions pinning the paper's Figure 5 and §4.4 values. *)
@@ -41,7 +41,7 @@ let universe_of_scenario sc =
   let w = Omega.width omega in
   ( omega,
     Universe.of_signature_list omega
-      (List.map (fun (mask, count) -> (bits_of_mask w mask, count, (0, 0))) sc.sigs) )
+      (List.map (fun (mask, count) -> (bits_of_mask w mask, count, [| 0; 0 |])) sc.sigs) )
 
 let state_of_scenario u sc =
   let st = State.create u in
@@ -209,23 +209,6 @@ let view_matches_rescan =
       in
       check (State.view st) extras)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel determinism.                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Candidate scoring fanned out over 2 and 4 domains yields byte-identical
-   inference traces to the sequential fast run (deterministic tie-breaking
-   by class index), which is itself trace-identical to the reference. *)
-let parallel_scoring_deterministic =
-  QCheck.Test.make ~name:"lks_par traces = sequential traces" ~count:40
-    arb_scenario (fun sc ->
-      let omega, u = universe_of_scenario sc in
-      let goal = bits_of_mask (Omega.width omega) sc.goal in
-      let sequential = trace (Strategy.lks 2) u goal in
-      List.for_all
-        (fun domains -> trace (Strategy.lks_par ~domains 2) u goal = sequential)
-        [ 1; 2; 4 ])
-
 (* L2S runs over a universe from the inverted build kernel ask the same
    questions (class, label and representative pair) as runs over the
    [build_naive] oracle. [traced_run] records each asked representative. *)
@@ -235,7 +218,7 @@ let traced_run u goal =
     (trace Strategy.l2s u goal)
 
 let check_l2s_build_vs_naive r p =
-  let fast = Universe.build r p and naive = Universe.build_naive r p in
+  let fast = Universe.build [ r; p ] and naive = Universe.build_naive r p in
   let omega = Universe.omega naive in
   let goals =
     Omega.full omega
@@ -265,20 +248,38 @@ let test_l2s_build_synthetic () =
   let r, p = Jqi_synth.Synth.generate prng (Jqi_synth.Synth.config 3 3 40 20) in
   check_l2s_build_vs_naive r p
 
-let test_parallel_score_choice_identity () =
-  (* On the §4.4 walk-through state, every domain count picks (t2,t'1). *)
-  let st = State.create universe0 in
-  State.label st (class0 (1, 3)) Sample.Positive;
-  State.label st (class0 (3, 1)) Sample.Negative;
-  List.iter
-    (fun domains ->
-      match Strategy.choose (Strategy.lks_par ~domains 2) st with
-      | Some c ->
-          Alcotest.(check int)
-            (Printf.sprintf "choice at %d domains" domains)
-            (class0 (2, 1)) c
-      | None -> Alcotest.fail "lks_par returned nothing")
-    [ 1; 2; 4 ]
+(* The relation list is the only input shape: L2S over [Universe.build]
+   asks the same questions as over the k-way oracle [build_kary_naive],
+   both at k = 2 (the pair kernel) and at k = 3 (the trie walk). *)
+let check_l2s_build_vs_kary_naive rels =
+  let fast = Universe.build rels and naive = Universe.build_kary_naive rels in
+  let goals =
+    Omega.full (Universe.omega naive)
+    :: List.init (Universe.n_classes naive) (Universe.signature naive)
+  in
+  List.for_all (fun goal -> traced_run naive goal = traced_run fast goal) goals
+
+let l2s_build_vs_kary_naive_pairs =
+  QCheck.Test.make ~name:"L2S on build [r; p] = build_kary_naive [r; p]"
+    ~count:20 QCheck.small_nat (fun seed ->
+      let prng = Jqi_util.Prng.create seed in
+      let r, p = Jqi_synth.Synth.generate prng (Jqi_synth.Synth.config 2 2 8 3) in
+      check_l2s_build_vs_kary_naive [ r; p ])
+
+let test_l2s_build_vs_kary_naive_three () =
+  let module Relation = Jqi_relational.Relation in
+  let module Tuple = Jqi_relational.Tuple in
+  let module Schema = Jqi_relational.Schema in
+  let mk name attrs rows =
+    Relation.of_list ~name
+      ~schema:(Schema.of_names ~ty:Jqi_relational.Value.TInt attrs)
+      (List.map Tuple.ints rows)
+  in
+  let a = mk "a" [ "a1"; "a2" ] [ [ 0; 1 ]; [ 1; 1 ]; [ 2; 0 ] ] in
+  let b = mk "b" [ "b1" ] [ [ 1 ]; [ 2 ]; [ 1 ] ] in
+  let c = mk "c" [ "c1"; "c2" ] [ [ 1; 0 ]; [ 0; 2 ] ] in
+  Alcotest.(check bool) "same L2S traces" true
+    (check_l2s_build_vs_kary_naive [ a; b; c ])
 
 (* ------------------------------------------------------------------ *)
 (* Seeded regressions: Figure 5 and the §4.4 walk-through.             *)
@@ -306,7 +307,7 @@ let test_fig5_full_table_both_engines () =
     (State.informative_classes st)
 
 (* §4.4 walk-through: from S = {(t1,t'3)+, (t3,t'1)−}, entropy² of
-   (t2,t'1) is (3,3) and L2S chooses it — fast, parallel and reference. *)
+   (t2,t'1) is (3,3) and L2S chooses it — fast and reference. *)
 let walkthrough_state () =
   let st = State.create universe0 in
   State.label st (class0 (1, 3)) Sample.Positive;
@@ -327,7 +328,6 @@ let test_walkthrough_l2s_choices () =
     [
       ("L2S fast", Strategy.l2s);
       ("L2S reference", Strategy.lks_reference 2);
-      ("L2S parallel", Strategy.lks_par ~domains:2 2);
     ]
 
 (* Full L2S inference on Example 2.1 agrees step by step across engines
@@ -354,11 +354,11 @@ let suite =
       canonical_idempotent;
       canonical_state_equivalent;
       view_matches_rescan;
-      parallel_scoring_deterministic;
+      l2s_build_vs_kary_naive_pairs;
     ]
   @ [
-      Alcotest.test_case "parallel score choice identity" `Quick
-        test_parallel_score_choice_identity;
+      Alcotest.test_case "L2S on build = build_kary_naive, 3 relations" `Quick
+        test_l2s_build_vs_kary_naive_three;
       Alcotest.test_case "L2S on build = build_naive, tiny inputs" `Quick
         test_l2s_build_tiny_inputs;
       Alcotest.test_case "L2S on build = build_naive, synthetic" `Quick

@@ -79,7 +79,7 @@ let test_tpch_lookahead () =
   List.iter
     (fun (idx, k, expect) ->
       let join : Tpch.goal_join = List.nth joins idx in
-      let universe = Universe.build join.r join.p in
+      let universe = Universe.build [ join.r; join.p ] in
       let goal = Tpch.goal_predicate (Universe.omega universe) join in
       let ((_, report) as run) =
         instrumented universe (Strategy.lks k) ~goal

@@ -44,19 +44,19 @@ let test_catalog_cache () =
       Obs.reset ())
     (fun () ->
       let catalog = fh_catalog () in
-      let hit1, u1 = Catalog.universe catalog Fixtures.flight Fixtures.hotel in
-      let hit2, u2 = Catalog.universe catalog Fixtures.flight Fixtures.hotel in
+      let hit1, u1 = Catalog.universe catalog [ Fixtures.flight; Fixtures.hotel ] in
+      let hit2, u2 = Catalog.universe catalog [ Fixtures.flight; Fixtures.hotel ] in
       Alcotest.(check bool) "first build misses" false hit1;
       Alcotest.(check bool) "second hits" true hit2;
       Alcotest.(check bool) "same universe shared" true (u1 == u2);
       Alcotest.(check (pair int int)) "stats" (1, 1) (Catalog.stats catalog);
       (* The cache is keyed by content, not registration name. *)
       Catalog.add ~name:"flight2" catalog Fixtures.flight;
-      let hit3, u3 = Catalog.universe catalog Fixtures.flight Fixtures.hotel in
+      let hit3, u3 = Catalog.universe catalog [ Fixtures.flight; Fixtures.hotel ] in
       Alcotest.(check bool) "renamed content still hits" true hit3;
       Alcotest.(check bool) "still shared" true (u1 == u3);
       (* Swapping the pair is a different product: a fresh build. *)
-      let hit4, _ = Catalog.universe catalog Fixtures.hotel Fixtures.flight in
+      let hit4, _ = Catalog.universe catalog [ Fixtures.hotel; Fixtures.flight ] in
       Alcotest.(check bool) "swapped pair misses" false hit4;
       let report = Obs.Report.snapshot () in
       Alcotest.(check int) "hit counter" 2
@@ -116,7 +116,7 @@ let test_manager_lifecycle () =
       let manager = Manager.create (fh_catalog ()) in
       let info =
         expect_ok "open"
-          (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td")
+          (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td")
       in
       Alcotest.(check string) "first id" "s1" info.Manager.id;
       Alcotest.(check bool) "first open builds" false info.Manager.cache_hit;
@@ -135,7 +135,7 @@ let test_manager_lifecycle () =
       (* Second session over the same pair shares the universe. *)
       let info2 =
         expect_ok "open2"
-          (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"bu")
+          (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"bu")
       in
       Alcotest.(check bool) "second open hits the cache" true
         info2.Manager.cache_hit;
@@ -156,17 +156,17 @@ let test_manager_lifecycle () =
 
 let test_manager_errors () =
   let manager = Manager.create (fh_catalog ()) in
-  (match Manager.open_session manager ~r:"nope" ~p:"Hotel" ~strategy:"td" with
+  (match Manager.open_session manager ~relations:[ "nope"; "Hotel" ] ~strategy:"td" with
   | Error (Manager.Unknown_relation "nope") -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Unknown_relation");
-  (match Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"zz" with
+  (match Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"zz" with
   | Error (Manager.Unknown_strategy "zz") -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Unknown_strategy");
   (match Manager.ask manager "s99" with
   | Error (Manager.Unknown_session "s99") -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Unknown_session");
   match
-    Manager.resume_session manager ~r:"Flight" ~p:"Hotel" (Json.Obj [])
+    Manager.resume_session manager ~relations:[ "Flight"; "Hotel" ] (Json.Obj [])
   with
   | Error (Manager.Corrupt_session _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Corrupt_session"
@@ -175,7 +175,7 @@ let test_manager_save_resume () =
   let manager = Manager.create (fh_catalog ()) in
   let info =
     expect_ok "open"
-      (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td")
+      (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td")
   in
   let id = info.Manager.id in
   (* Answer one question, note the next one, freeze. *)
@@ -196,7 +196,8 @@ let test_manager_save_resume () =
   (* Thaw: the in-flight question must be re-presented verbatim, and the
      resumed run must land on the same predicate. *)
   let info2 =
-    expect_ok "resume" (Manager.resume_session manager ~r:"Flight" ~p:"Hotel" doc)
+    expect_ok "resume"
+      (Manager.resume_session manager ~relations:[ "Flight"; "Hotel" ] doc)
   in
   Alcotest.(check string) "persisted strategy restored" "TD"
     info2.Manager.strategy_name;
@@ -221,12 +222,12 @@ let test_manager_idle_eviction () =
   in
   let s1 =
     (expect_ok "open1"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td"))
+       (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td"))
       .Manager.id
   in
   let s2 =
     (expect_ok "open2"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"bu"))
+       (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"bu"))
       .Manager.id
   in
   Alcotest.(check (list string)) "nothing stale yet" [] (Manager.sweep manager);
@@ -252,7 +253,7 @@ let test_eviction_autosaves_pending () =
   in
   let id =
     (expect_ok "open"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td"))
+       (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td"))
       .Manager.id
   in
   (* Answer one question and leave the next one outstanding. *)
@@ -283,7 +284,8 @@ let test_eviction_autosaves_pending () =
   (* Thaw the autosave: the in-flight question survives eviction exactly
      as it survives an explicit save. *)
   let info =
-    expect_ok "resume" (Manager.resume_session manager ~r:"Flight" ~p:"Hotel" doc)
+    expect_ok "resume"
+      (Manager.resume_session manager ~relations:[ "Flight"; "Hotel" ] doc)
   in
   (match expect_ok "ask2" (Manager.ask manager info.Manager.id) with
   | Manager.Next q ->
@@ -312,7 +314,7 @@ let test_manager_delta_recertify () =
   let manager = Manager.create (fh_catalog ()) in
   let id =
     (expect_ok "open"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td"))
+       (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td"))
       .Manager.id
   in
   let q1 =
@@ -412,7 +414,7 @@ let test_manager_delta_stale () =
       ]
   in
   let id =
-    (expect_ok "resume" (Manager.resume_session manager ~r:"TR" ~p:"TP" doc))
+    (expect_ok "resume" (Manager.resume_session manager ~relations:[ "TR"; "TP" ] doc))
       .Manager.id
   in
   let info =
@@ -465,7 +467,7 @@ let test_resume_stale_pending () =
   in
   let pre =
     expect_ok "resume pre-delta"
-      (Manager.resume_session manager ~r:"TR" ~p:"TP" doc)
+      (Manager.resume_session manager ~relations:[ "TR"; "TP" ] doc)
   in
   (match expect_ok "ask pre-delta" (Manager.ask manager pre.Manager.id) with
   | Manager.Next (q : Engine.question) ->
@@ -478,7 +480,7 @@ let test_resume_stale_pending () =
     (expect_ok "delta"
        (Manager.apply_delta manager ~relation:"TR"
           (Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 1; 10 ] ])));
-  match Manager.resume_session manager ~r:"TR" ~p:"TP" doc with
+  match Manager.resume_session manager ~relations:[ "TR"; "TP" ] doc with
   | Error (Manager.Stale_label msg) ->
       Alcotest.(check bool) "names the pending question" true
         (has_substring ~needle:"pending" msg)
@@ -497,7 +499,7 @@ let test_eviction_after_churn () =
   in
   let id =
     (expect_ok "open"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td"))
+       (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td"))
       .Manager.id
   in
   let q1 =
@@ -531,7 +533,7 @@ let test_eviction_after_churn () =
   in
   let info2 =
     expect_ok "resume"
-      (Manager.resume_session manager ~r:"Flight" ~p:"Hotel" doc)
+      (Manager.resume_session manager ~relations:[ "Flight"; "Hotel" ] doc)
   in
   Alcotest.(check bool) "thaw hits the patched universe cache" true
     info2.Manager.cache_hit;
@@ -811,7 +813,7 @@ let test_service_kary_flight () =
   let handle = Service.handle manager in
   (* The labelling side runs the same byte-identical universe build the
      server does, so the kquestion's class index addresses it directly. *)
-  let u = Jqi_core.Universe.build_kary [ a; b; c ] in
+  let u = Jqi_core.Universe.build [ a; b; c ] in
   let goal =
     Jqi_core.Omega.of_names_kary (Jqi_core.Universe.omega u)
       [ ("a.ak", "b.bk"); ("b.bv", "c.ck") ]
@@ -982,6 +984,76 @@ let test_service_errors () =
   | Ok (5, P.Error { code = "unsupported"; _ }) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected an encoded error frame"
 
+(* Binary is k = 2 on the wire too: over two relations, open_kary and
+   resume_kary answer with byte-identical opened, question and done frames
+   to open and resume (fresh managers number sessions alike), save still
+   writes a v2 document, and both frame pairs share one cache entry. *)
+let test_service_kary_frames_at_k2 () =
+  let transcript ~kary =
+    let manager = Manager.create (fh_catalog ()) in
+    let handle = Service.handle manager in
+    let frames = ref [] in
+    let call req =
+      let resp = handle req in
+      frames := P.encode_response ~id:0 resp :: !frames;
+      resp
+    in
+    let opened = function
+      | P.Opened { session; _ } -> session
+      | _ -> Alcotest.fail "expected an opened frame"
+    in
+    let relations = [ "Flight"; "Hotel" ] in
+    let session =
+      opened
+        (call
+           (if kary then P.Open_kary { relations; strategy = "td" }
+            else P.Open_session { r = "Flight"; p = "Hotel"; strategy = "td" }))
+    in
+    let tell session = function
+      | P.Question { q_r_row; q_p_row; _ } ->
+          let s =
+            Sample.signature_of_tuple fh_omega Fixtures.flight Fixtures.hotel
+              (q_r_row, q_p_row)
+          in
+          call (P.Tell { session; label = label_for fh_goal s })
+      | _ -> Alcotest.fail "expected a question frame"
+    in
+    ignore (tell session (call (P.Ask { session })));
+    let doc =
+      match handle (P.Save { session }) with
+      | P.Saved { doc; _ } -> doc
+      | _ -> Alcotest.fail "save"
+    in
+    Alcotest.(check (option int))
+      "binary documents stay v2" (Some 2)
+      (Option.bind (Json.member "version" doc) Json.to_int);
+    let session =
+      opened
+        (call
+           (if kary then P.Resume_kary { relations; strategy = None; doc }
+            else P.Resume { r = "Flight"; p = "Hotel"; strategy = None; doc }))
+    in
+    let rec drive = function
+      | P.Question _ as q -> drive (tell session q)
+      | P.Done _ -> ()
+      | _ -> Alcotest.fail "unexpected turn"
+    in
+    drive (call (P.Ask { session }));
+    (manager, List.rev !frames)
+  in
+  let manager, binary = transcript ~kary:false in
+  let _, kary = transcript ~kary:true in
+  Alcotest.(check (list string)) "same frames" binary kary;
+  (match
+     Service.handle manager
+       (P.Open_kary { relations = [ "Flight"; "Hotel" ]; strategy = "bu" })
+   with
+  | P.Opened { cache_hit = true; _ } -> ()
+  | _ -> Alcotest.fail "open_kary should hit the binary cache entry");
+  Alcotest.(check (pair int int))
+    "one cache entry: (hits, misses)" (2, 1)
+    (Catalog.stats (Manager.catalog manager))
+
 let suite =
   [
     Alcotest.test_case "catalog cache" `Quick test_catalog_cache;
@@ -1012,4 +1084,6 @@ let suite =
       test_service_kary_errors;
     Alcotest.test_case "service delta frames" `Quick test_service_delta;
     Alcotest.test_case "service error frames" `Quick test_service_errors;
+    Alcotest.test_case "open_kary/resume_kary frames at k = 2" `Quick
+      test_service_kary_frames_at_k2;
   ]

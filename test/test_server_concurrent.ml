@@ -52,7 +52,7 @@ let rec drive manager id turn =
 let open_and_drive manager strategy =
   let info =
     expect_ok "open"
-      (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy)
+      (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ] ~strategy)
   in
   let outcome =
     drive manager info.Manager.id
@@ -323,7 +323,7 @@ let hammer seed =
       match Prng.int prng 8 with
       | 0 ->
           ignore
-            (Manager.open_session manager ~r:"Flight" ~p:"Hotel"
+            (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ]
                ~strategy:(if Prng.bool prng then "td" else "bu"))
       | 1 -> ignore (Manager.ask manager id)
       | 2 ->
@@ -331,7 +331,7 @@ let hammer seed =
       | 3 -> (
           match Manager.save manager id with
           | Ok doc ->
-              ignore (Manager.resume_session manager ~r:"Flight" ~p:"Hotel" doc)
+              ignore (Manager.resume_session manager ~relations:[ "Flight"; "Hotel" ] doc)
           | Error _ -> ())
       | 4 -> ignore (Manager.close manager id)
       | 5 ->

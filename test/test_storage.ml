@@ -335,8 +335,8 @@ let qcheck_universe_backends_agree =
     (fun (rrows, prows) ->
       let r = relation_of "r" "a" rrows and p = relation_of "p" "b" prows in
       let sr, pr = paged_copy r and sp, pp = paged_copy p in
-      let mem_u = Universe.build_quotient r p in
-      let paged_u = Universe.build_quotient pr pp in
+      let mem_u = Universe.build [ r; p ] in
+      let paged_u = Universe.build [ pr; pp ] in
       let naive_u = Universe.build_naive r p in
       let ok = universes_agree mem_u paged_u && universes_agree naive_u paged_u in
       let no_leak =
@@ -359,8 +359,8 @@ let qcheck_kary_backends_agree =
         ]
       in
       let stores_paged = List.map paged_copy rels in
-      let mem_u = Universe.build_kary rels in
-      let paged_u = Universe.build_kary (List.map snd stores_paged) in
+      let mem_u = Universe.build rels in
+      let paged_u = Universe.build (List.map snd stores_paged) in
       let ok = universes_agree mem_u paged_u in
       List.iter (fun (s, _) -> Relstore.close s) stores_paged;
       ok)

@@ -51,7 +51,7 @@ let test_paper_configs () =
 let test_goals_of_size () =
   let prng = Prng.create 12 in
   let r, p = Synth.generate prng (Synth.config 2 2 15 3) in
-  let u = Universe.build r p in
+  let u = Universe.build [ r; p ] in
   (* Size 0: exactly the empty predicate (some tuple always realizes a
      signature ⊇ ∅). *)
   (match Synth.goals_of_size u ~size:0 with
@@ -81,7 +81,7 @@ let test_goals_complete () =
      cross-check against direct enumeration of PP(Ω). *)
   let prng = Prng.create 21 in
   let r, p = Synth.generate prng (Synth.config 2 2 10 2) in
-  let u = Universe.build r p in
+  let u = Universe.build [ r; p ] in
   let sigs = Universe.signatures u in
   let omega = Universe.omega u in
   for size = 0 to 4 do
@@ -108,7 +108,7 @@ let test_join_ratio_calibration () =
     let runs = 15 in
     for _ = 1 to runs do
       let r, p = Synth.generate prng config in
-      acc := !acc +. Universe.join_ratio (Universe.build r p)
+      acc := !acc +. Universe.join_ratio (Universe.build [ r; p ])
     done;
     !acc /. float_of_int runs
   in

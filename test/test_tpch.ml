@@ -146,7 +146,7 @@ let test_kary_chain_inference () =
     Jqi_relational.Algebra.project db.supplier [ "s_suppkey"; "s_nationkey" ]
   in
   let rels = [ part; partsupp; supplier ] in
-  let u_quot = Universe.build_kary rels in
+  let u_quot = Universe.build rels in
   let u_naive = Universe.build_kary_naive rels in
   let goal u =
     Omega.of_names_kary (Universe.omega u)

@@ -32,7 +32,7 @@ let test_grouping () =
     Relation.of_list ~name:"p" ~schema:(Schema.of_names ~ty:Value.TInt [ "b" ])
       [ Tuple.ints [ 1 ] ]
   in
-  let u = Universe.build r p in
+  let u = Universe.build [ r; p ] in
   Alcotest.(check int) "2 classes" 2 (Universe.n_classes u);
   Alcotest.(check int) "3 tuples" 3 (Universe.total_tuples u);
   let matching =
@@ -43,9 +43,10 @@ let test_grouping () =
 let test_representative () =
   match Universe.representative universe0 (class0 (2, 2)) with
   | None -> Alcotest.fail "expected representative"
-  | Some (tr, tp) ->
+  | Some [| tr; tp |] ->
       Alcotest.check tuple_testable "left rep" (Tuple.ints [ 0; 2 ]) tr;
       Alcotest.check tuple_testable "right rep" (Tuple.ints [ 0; 1; 2 ]) tp
+  | Some _ -> Alcotest.fail "expected one tuple per relation"
 
 let test_selected_classes () =
   (* θ1 = {(A1,B1),(A2,B3)} selects exactly (t2,t'2) and (t4,t'1)
@@ -71,7 +72,7 @@ let test_equivalent () =
     Relation.of_list ~name:"P1" ~schema:(Schema.of_names ~ty:Value.TInt [ "B1" ])
       [ Tuple.ints [ 1 ] ]
   in
-  let u = Universe.build r1 p1 in
+  let u = Universe.build [ r1; p1 ] in
   let o = Universe.omega u in
   List.iter
     (fun theta ->
@@ -89,17 +90,18 @@ let test_signature_consistency () =
   for i = 0 to Universe.n_classes universe0 - 1 do
     match Universe.representative universe0 i with
     | None -> Alcotest.fail "no representative"
-    | Some (tr, tp) ->
+    | Some tuples ->
         Alcotest.check bits_testable "sig = T(rep)"
           (Universe.signature universe0 i)
-          (Tsig.of_tuples omega0 tr tp)
+          (Tsig.of_ktuples omega0 tuples)
   done
 
 let test_of_signature_list_merges () =
   let o = Omega.create ~n:2 ~m:2 () in
   let s = Omega.of_pairs o [ (0, 0) ] in
   let u =
-    Universe.of_signature_list o [ (s, 2, (0, 0)); (s, 3, (1, 1)); (Omega.empty o, 1, (0, 1)) ]
+    Universe.of_signature_list o
+      [ (s, 2, [| 0; 0 |]); (s, 3, [| 1; 1 |]); (Omega.empty o, 1, [| 0; 1 |]) ]
   in
   Alcotest.(check int) "merged classes" 2 (Universe.n_classes u);
   Alcotest.(check int) "total" 6 (Universe.total_tuples u)
@@ -113,7 +115,7 @@ let test_empty_product_rejected () =
       [ Tuple.ints [ 1 ] ]
   in
   Alcotest.(check bool) "raises" true
-    (try ignore (Universe.build r p); false with Invalid_argument _ -> true)
+    (try ignore (Universe.build [ r; p ]); false with Invalid_argument _ -> true)
 
 let test_build_equals_naive () =
   (* Identical universes — classes, counts and representatives — from the
@@ -134,7 +136,7 @@ let test_build_equals_naive () =
   check_same universe0 (Universe.build_naive r0 p0);
   let prng = Jqi_util.Prng.create 31 in
   let rs, ps = Jqi_synth.Synth.generate prng (Jqi_synth.Synth.config 3 3 60 20) in
-  check_same (Universe.build rs ps) (Universe.build_naive rs ps)
+  check_same (Universe.build [ rs; ps ]) (Universe.build_naive rs ps)
 
 let suite =
   [

@@ -48,7 +48,7 @@ let relation_of name prefix rows =
          (List.init arity (fun i -> Printf.sprintf "%s%d" prefix i)))
     rows
 
-let builders r p = (Universe.build_naive r p, Universe.build r p)
+let builders r p = (Universe.build_naive r p, Universe.build [ r; p ])
 
 (* ------------------------- deterministic edges -------------------- *)
 
@@ -154,7 +154,7 @@ let qcheck_signatures_match_reps =
     ~count:200 (QCheck.make gen_instance)
     (fun (rrows, prows) ->
       let r = relation_of "r" "a" rrows and p = relation_of "p" "b" prows in
-      let u = Universe.build_quotient r p in
+      let u = Universe.build [ r; p ] in
       let omega = Universe.omega u in
       let rec go i =
         i >= Universe.n_classes u
@@ -273,11 +273,11 @@ let test_sampled_reps_deterministic () =
      multiplicities), so only classes and representatives are compared. *)
   let r = relation_of "r" "a" (List.map Tuple.ints [ [ 1 ]; [ 1 ]; [ 2 ] ]) in
   let p = relation_of "p" "b" (List.map Tuple.ints [ [ 1 ]; [ 2 ]; [ 1 ] ]) in
-  let reference = Universe.build r p in
+  let reference = Universe.build [ r; p ] in
   List.iter
     (fun seed ->
       let sampled =
-        Universe.build_sampled (Jqi_util.Prng.create seed) ~pairs:3000 r p
+        Universe.build_sampled (Jqi_util.Prng.create seed) ~tuples:3000 [ r; p ]
       in
       let label fmt =
         Printf.ksprintf (fun s -> Printf.sprintf "seed %d: %s" seed s) fmt
