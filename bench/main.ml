@@ -45,7 +45,7 @@ let int_array_compare a b =
    timings.  The quotient is the default everywhere. *)
 let universe_builder_of ~seed spec =
   match String.lowercase_ascii (String.trim spec) with
-  | "naive" -> Some Universe.build_kary_naive
+  | "naive" -> Some (fun rels -> Universe.build_kary_naive rels)
   | "quotient" -> Some (fun rels -> Universe.build rels)
   | s when String.length s > 8 && String.equal (String.sub s 0 8) "sampled:" -> (
       match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
@@ -530,15 +530,17 @@ let run_universe ~full ~seed =
    its Cartesian reference (identical classes, large speedup), (b) the
    triejoin evaluator against left-deep hash composition and the naive
    nested loop (equal multisets, triejoin beating naive), and (c) k-ary
-   inference convergence under BU/TD/L2S with an honest oracle.
-   Results land in BENCH_KARY.json; CI asserts the identity bits and the
-   triejoin-vs-naive speedup. *)
+   inference convergence under BU/TD/L2S with an honest oracle, over the
+   full Ω and over the chain-masked Ω of the join path (Ω bits, classes
+   and questions for both).  Results land in BENCH_KARY.json; CI asserts
+   the identity bits, the triejoin-vs-naive speedup and that every run
+   converges. *)
 let run_kary ~full ~seed =
   let module Json = Jqi_util.Json in
   let module Algebra = Jqi_relational.Algebra in
   let module Relation = Jqi_relational.Relation in
   let module Leapfrog = Jqi_relational.Leapfrog in
-  let module Ordering = Jqi_joinpath.Ordering in
+  let module Ordering = Jqi_relational.Ordering in
   let module Omega = Jqi_core.Omega in
   let module Inference = Jqi_core.Inference in
   let module Oracle = Jqi_core.Oracle in
@@ -628,22 +630,34 @@ let run_kary ~full ~seed =
     (Array.length tj_rows) (Array.length vars) (tj_s *. 1e3) (comp_s *. 1e3)
     speedup_comp (ref_s *. 1e3) speedup_ref
     (if agree then "multiset-equal" else "DIVERGED");
-  (* (c) inference convergence over the key-chain k-ary universe. *)
-  let chain_u = Universe.build rel_list in
-  let omega = Universe.omega chain_u in
-  let goal =
-    Omega.of_names_kary omega
-      [
-        ("part.p_partkey", "partsupp.ps_partkey");
-        ("partsupp.ps_suppkey", "supplier.s_suppkey");
-      ]
+  (* (c) inference convergence over the key-chain k-ary universe, once
+     with a block for every relation pair and once with the chain's
+     adjacent pairs only (the join-path universe). *)
+  let chain_edges = [ (0, 1); (1, 2) ] in
+  let full_u = Universe.build rel_list in
+  let chain_u = Universe.build ~edges:chain_edges rel_list in
+  let chain_identical =
+    universes_equal chain_u (Universe.build_kary_naive ~edges:chain_edges rel_list)
   in
-  let inference_entries =
+  let omega_bits u = Omega.width (Universe.omega u) in
+  Printf.printf
+    "  omega: full %d bits, %d classes; chain %d bits, %d classes (%s naive)\n"
+    (omega_bits full_u) (Universe.n_classes full_u) (omega_bits chain_u)
+    (Universe.n_classes chain_u)
+    (if chain_identical then "identical to" else "DIVERGED from");
+  let infer label u =
+    let goal =
+      Omega.of_names_kary (Universe.omega u)
+        [
+          ("part.p_partkey", "partsupp.ps_partkey");
+          ("partsupp.ps_suppkey", "supplier.s_suppkey");
+        ]
+    in
     List.map
       (fun (name, strategy) ->
-        let result = Inference.run chain_u strategy (Oracle.honest ~goal) in
-        let verified = Inference.verified chain_u ~goal result in
-        Printf.printf "  inference %-4s %4d interactions  %s\n" name
+        let result = Inference.run u strategy (Oracle.honest ~goal) in
+        let verified = Inference.verified u ~goal result in
+        Printf.printf "  inference %-5s %-4s %4d interactions  %s\n" label name
           result.Jqi_core.Inference.n_interactions
           (if verified then "converged" else "NOT instance-equivalent");
         Json.Obj
@@ -659,6 +673,8 @@ let run_kary ~full ~seed =
         ("l2s", Strategy.lks 2);
       ]
   in
+  let inference_entries = infer "full" full_u in
+  let chain_entries = infer "chain" chain_u in
   let path = "BENCH_KARY.json" in
   Json.save_file path
     (Json.Obj
@@ -693,6 +709,29 @@ let run_kary ~full ~seed =
                ("agree", Json.Bool agree);
              ] );
          ("inference", Json.List inference_entries);
+         ( "edges",
+           Json.Obj
+             [
+               ( "full",
+                 Json.Obj
+                   [
+                     ("omega_bits", Json.int (omega_bits full_u));
+                     ("classes", Json.int (Universe.n_classes full_u));
+                   ] );
+               ( "chain",
+                 Json.Obj
+                   [
+                     ( "edges",
+                       Json.List
+                         (List.map
+                            (fun (i, j) -> Json.List [ Json.int i; Json.int j ])
+                            chain_edges) );
+                     ("omega_bits", Json.int (omega_bits chain_u));
+                     ("classes", Json.int (Universe.n_classes chain_u));
+                     ("identical", Json.Bool chain_identical);
+                     ("inference", Json.List chain_entries);
+                   ] );
+             ] );
        ]);
   Printf.printf "wrote %s\n" path
 
@@ -1587,7 +1626,7 @@ let micro_tests ~seed =
             Jqi_relational.Relation.with_name r name
           in
           let rels = [ mk "r1"; mk "r2"; mk "r3" ] in
-          fun () -> Jqi_joinpath.Path.build rels));
+          fun () -> Universe.build ~edges:[ (0, 1); (1, 2) ] rels));
   ]
 
 let run_micro ~seed =

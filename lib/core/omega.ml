@@ -1,12 +1,14 @@
 (* The attribute-pair universe Ω.
 
    Binary (the paper's §2): Ω = attrs(R) × attrs(P).  K-ary (ROADMAP
-   item 2): for relations R_0..R_{k-1}, Ω = ⋃_{i<j} attrs(R_i) ×
-   attrs(R_j) — one block of bits per unordered relation pair, blocks
-   laid out in lexicographic (i,j) order.  For k = 2 there is a single
-   block (0,1) at offset 0, so the k-ary layout degenerates to the
-   historical [i*m + j] bit positions: binary predicates are
-   bit-compatible across both code paths.
+   item 2): for relations R_0..R_{k-1} and an edge set E of relation
+   pairs i < j (all pairs by default), Ω = ⋃_{(i,j)∈E} attrs(R_i) ×
+   attrs(R_j) — one block of bits per edge, blocks laid out in
+   lexicographic (i,j) order.  For k = 2 there is a single block (0,1)
+   at offset 0, so the k-ary layout degenerates to the historical
+   [i*m + j] bit positions: binary predicates are bit-compatible across
+   both code paths.  A chain E = {(0,1), (1,2), …} is the join-path
+   universe: a path predicate is a k-ary predicate over adjacent blocks.
 
    A join predicate θ ⊆ Ω is represented as a bitset ([Jqi_util.Bits.t])
    of width |Ω|; this module owns the bijection between bit positions and
@@ -18,7 +20,8 @@ type t = {
   arities : int array;  (* arity per relation *)
   names : string array array;  (* attribute names per relation *)
   rel_names : string array;  (* relation names (k-ary printing) *)
-  offsets : int array array;  (* offsets.(i).(j) for i < j; -1 elsewhere *)
+  offsets : int array array;  (* offsets.(i).(j) for present i < j; -1 elsewhere *)
+  blocks : (int * int * int) array;  (* present (i, j, offset), lexicographic *)
   width : int;
 }
 
@@ -27,8 +30,9 @@ let arity_at t i = t.arities.(i)
 let attr_name t i a = t.names.(i).(a)
 let rel_name t i = t.rel_names.(i)
 let width t = t.width
+let blocks t = t.blocks
 
-let create_kary ?rel_names names =
+let create_kary ?rel_names ?edges names =
   let k = Array.length names in
   if k < 2 then invalid_arg "Omega: need at least two relations";
   let arities = Array.map Array.length names in
@@ -43,15 +47,35 @@ let create_kary ?rel_names names =
         rs
     | None -> Array.init k (fun i -> Printf.sprintf "R%d" (i + 1))
   in
+  let edges =
+    match edges with
+    | Some es -> es
+    | None -> List.concat (List.init k (fun i -> List.init (k - 1 - i) (fun d -> (i, i + 1 + d))))
+  in
+  if List.is_empty edges then invalid_arg "Omega: need at least one edge";
+  (* Mark the present blocks (0 = present, -1 = absent), then lay them
+     out in lexicographic (i,j) order whatever order the edges came in. *)
   let offsets = Array.make_matrix k k (-1) in
-  let off = ref 0 in
+  List.iter
+    (fun (i, j) ->
+      if i < 0 || j >= k || i >= j then
+        invalid_arg (Printf.sprintf "Omega: bad edge (%d,%d) for k=%d" i j k);
+      if offsets.(i).(j) >= 0 then
+        invalid_arg (Printf.sprintf "Omega: duplicate edge (%d,%d)" i j);
+      offsets.(i).(j) <- 0)
+    edges;
+  let off = ref 0 and rev_blocks = ref [] in
   for i = 0 to k - 1 do
     for j = i + 1 to k - 1 do
-      offsets.(i).(j) <- !off;
-      off := !off + (arities.(i) * arities.(j))
+      if offsets.(i).(j) >= 0 then begin
+        offsets.(i).(j) <- !off;
+        rev_blocks := (i, j, !off) :: !rev_blocks;
+        off := !off + (arities.(i) * arities.(j))
+      end
     done
   done;
-  { arities; names; rel_names; offsets; width = !off }
+  let blocks = Array.of_list (List.rev !rev_blocks) in
+  { arities; names; rel_names; offsets; blocks; width = !off }
 
 let create ?r_names ?p_names ~n ~m () =
   if n <= 0 || m <= 0 then invalid_arg "Omega: need at least one attribute";
@@ -69,10 +93,10 @@ let of_schemas sr sp =
     ~p_names:(Array.of_list (S.names sp))
     ~n:(S.arity sr) ~m:(S.arity sp) ()
 
-let of_schemas_kary named =
+let of_schemas_kary ?edges named =
   let module S = Jqi_relational.Schema in
   let named = Array.of_list named in
-  create_kary
+  create_kary ?edges
     ~rel_names:(Array.map fst named)
     (Array.map (fun (_, s) -> Array.of_list (S.names s)) named)
 
@@ -117,6 +141,8 @@ let block_offset t i j =
   let k = n_relations t in
   if i < 0 || j < 0 || i >= k || j >= k || i >= j then
     invalid_arg (Printf.sprintf "Omega.block_offset: bad block (%d,%d) for k=%d" i j k);
+  if t.offsets.(i).(j) < 0 then
+    invalid_arg (Printf.sprintf "Omega.block_offset: absent block (%d,%d)" i j);
   t.offsets.(i).(j)
 
 let kindex t (i, a) (j, b) =
@@ -128,28 +154,21 @@ let kindex t (i, a) (j, b) =
     invalid_arg
       (Printf.sprintf "Omega.kindex: attribute (%d,%d) outside %dx%d" a b
          t.arities.(i) t.arities.(j));
+  if t.offsets.(i).(j) < 0 then
+    invalid_arg (Printf.sprintf "Omega.kindex: absent block (%d,%d)" i j);
   t.offsets.(i).(j) + (a * t.arities.(j)) + b
 
 let kpair t bit =
   if bit < 0 || bit >= t.width then invalid_arg "Omega.kpair: out of range";
-  let k = n_relations t in
-  let found = ref None in
-  (try
-     for i = 0 to k - 1 do
-       for j = i + 1 to k - 1 do
-         let base = t.offsets.(i).(j) in
-         let size = t.arities.(i) * t.arities.(j) in
-         if bit >= base && bit < base + size then begin
-           let local = bit - base in
-           let m = t.arities.(j) in
-           found := Some ((i, local / m), (j, local mod m));
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  match !found with
-  | Some p -> p
+  match
+    Array.find_opt
+      (fun (i, j, base) -> bit >= base && bit < base + (t.arities.(i) * t.arities.(j)))
+      t.blocks
+  with
+  | Some (i, j, base) ->
+      let local = bit - base in
+      let m = t.arities.(j) in
+      ((i, local / m), (j, local mod m))
   | None -> invalid_arg "Omega.kpair: out of range"
 
 let empty t = Bits.empty (width t)
@@ -164,15 +183,6 @@ let of_pairs t pairs =
   List.fold_left (fun b (i, j) -> Bits.add b (index t i j)) (empty t) pairs
 
 let to_pairs t b = List.map (pair t) (Bits.elements b)
-
-(* [restrict t b i j] keeps only the bits of block (i,j). *)
-let restrict t b i j =
-  let base = block_offset t i j in
-  let size = t.arities.(i) * t.arities.(j) in
-  Bits.build (width t) (fun set ->
-      for local = 0 to size - 1 do
-        if Bits.mem b (base + local) then set (base + local)
-      done)
 
 let find_attr arr name =
   let rec go i =
@@ -197,18 +207,24 @@ let of_names t pairs =
 let resolve_name t spec =
   let fail msg = invalid_arg (Printf.sprintf "Omega.of_names_kary: %s %S" msg spec) in
   match String.index_opt spec '.' with
-  | Some dot ->
+  | Some dot -> (
       let rel = String.sub spec 0 dot in
       let attr = String.sub spec (dot + 1) (String.length spec - dot - 1) in
-      let rec go i =
-        if i >= n_relations t then fail "no relation in"
-        else if String.equal t.rel_names.(i) rel then
+      let rels = ref [] in
+      for i = n_relations t - 1 downto 0 do
+        if String.equal t.rel_names.(i) rel then rels := i :: !rels
+      done;
+      match !rels with
+      | [ i ] -> (
           match find_attr t.names.(i) attr with
           | Some a -> (i, a)
-          | None -> fail "no attribute in"
-        else go (i + 1)
-      in
-      go 0
+          | None -> fail "no attribute in")
+      | [] -> fail "no relation in"
+      | _ :: _ :: _ ->
+          invalid_arg
+            (Printf.sprintf
+               "Omega.of_names_kary: ambiguous relation %S in %S (qualify uniquely)"
+               rel spec))
   | None ->
       let hits = ref [] in
       for i = n_relations t - 1 downto 0 do

@@ -1,10 +1,12 @@
 (** The attribute-pair universe Ω (§2, generalized to k relations).
 
-    Binary: Ω = attrs(R) × attrs(P).  K-ary: for relations R_0..R_{k-1},
-    Ω = ⋃_{i<j} attrs(R_i) × attrs(R_j), one block of bits per unordered
-    relation pair in lexicographic (i,j) order.  For k = 2 the single
-    block (0,1) sits at offset 0, so binary predicates keep their
-    historical [i*m + j] bit positions.
+    Binary: Ω = attrs(R) × attrs(P).  K-ary: for relations R_0..R_{k-1}
+    and an edge set E of relation pairs i < j (all pairs by default),
+    Ω = ⋃_{(i,j)∈E} attrs(R_i) × attrs(R_j), one block of bits per edge
+    in lexicographic (i,j) order.  For k = 2 the single block (0,1) sits
+    at offset 0, so binary predicates keep their historical [i*m + j]
+    bit positions.  The chain E = {(0,1), (1,2), …} is the universe of
+    join paths (the paper's §7).
 
     Join predicates θ ⊆ Ω are bitsets of width |Ω|; this module owns the
     bijection between bit positions and attribute pairs, plus naming and
@@ -24,15 +26,25 @@ val of_schemas : Jqi_relational.Schema.t -> Jqi_relational.Schema.t -> t
 
 (** [create_kary names] builds Ω over k = [Array.length names] relations
     whose attribute names are given per relation.  [rel_names] (default
-    R1..Rk) qualify attributes when printing k-ary predicates.  Raises
-    [Invalid_argument] when k < 2 or any relation has no attributes. *)
-val create_kary : ?rel_names:string array -> string array array -> t
+    R1..Rk) qualify attributes when printing k-ary predicates.  [edges]
+    (default: every pair) lists the relation pairs (i, j), i < j, that
+    get a block; their order does not matter.  Raises [Invalid_argument]
+    when k < 2, any relation has no attributes, or [edges] is empty,
+    repeats a pair, or holds a pair with i ≥ j or out of range. *)
+val create_kary :
+  ?rel_names:string array -> ?edges:(int * int) list -> string array array -> t
 
 (** K-ary Ω for named schemas, in relation order. *)
-val of_schemas_kary : (string * Jqi_relational.Schema.t) list -> t
+val of_schemas_kary :
+  ?edges:(int * int) list -> (string * Jqi_relational.Schema.t) list -> t
 
-(** |Ω| — the bitset width: Σ_{i<j} n_i·n_j (= n·m when binary). *)
+(** |Ω| — the bitset width: Σ_{(i,j)∈E} n_i·n_j (= n·m when binary). *)
 val width : t -> int
+
+(** The present blocks (i, j, bit offset), in lexicographic (i,j) = bit
+    order.  Shared, not copied: callers iterate it and must not mutate
+    it. *)
+val blocks : t -> (int * int * int) array
 
 (** Number of relations k (2 for every binary constructor). *)
 val n_relations : t -> int
@@ -73,13 +85,13 @@ val of_names : t -> (string * string) list -> Jqi_util.Bits.t
 
 (** {2 K-ary bijection} *)
 
-(** Bit offset of block (i,j), i < j; raises on a bad block. *)
+(** Bit offset of block (i,j), i < j; raises on a bad or absent block. *)
 val block_offset : t -> int -> int -> int
 
 (** [kindex t (i,a) (j,b)] is the bit of attribute [a] of relation [i]
     paired with attribute [b] of relation [j]; the pair is normalized so
-    argument order does not matter.  Raises on i = j or out-of-range
-    positions. *)
+    argument order does not matter.  Raises on i = j, out-of-range
+    positions or an absent block. *)
 val kindex : t -> int * int -> int * int -> int
 
 (** Inverse of [kindex]: bit → ((i,a),(j,b)) with i < j. *)
@@ -88,13 +100,11 @@ val kpair : t -> int -> (int * int) * (int * int)
 val of_kpairs : t -> ((int * int) * (int * int)) list -> Jqi_util.Bits.t
 val to_kpairs : t -> Jqi_util.Bits.t -> ((int * int) * (int * int)) list
 
-(** Keep only the bits of block (i,j) — the projection of a k-ary
-    predicate onto one relation pair. *)
-val restrict : t -> Jqi_util.Bits.t -> int -> int -> Jqi_util.Bits.t
-
 (** Predicate from name pairs where each side is "rel.attr" or a bare
-    attribute name that is unique across all relations; raises on unknown
-    or ambiguous names. *)
+    attribute name that is unique across all relations.  Raises
+    [Invalid_argument] on unknown names, an ambiguous bare attribute, a
+    qualifier naming more than one relation, or a pair whose block is
+    absent. *)
 val of_names_kary : t -> (string * string) list -> Jqi_util.Bits.t
 
 (** The most general predicate ∅. *)

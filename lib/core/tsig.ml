@@ -44,8 +44,9 @@ let of_codes omega cr cp =
       done)
 
 (* K-ary T: one tuple (or code vector) per relation; the signature has a
-   bit for every cross-relation attribute pair that matches.  For k = 2
-   the block layout makes this coincide bit-for-bit with [of_codes]. *)
+   bit for every attribute pair of every block of Ω that matches.  For
+   k = 2 the block layout makes this coincide bit-for-bit with
+   [of_codes]. *)
 let of_kcodes omega codes =
   let k = Omega.n_relations omega in
   if not (Int.equal (Array.length codes) k) then
@@ -54,20 +55,18 @@ let of_kcodes omega codes =
     if not (Int.equal (Array.length codes.(i)) (Omega.arity_at omega i)) then
       invalid_arg "Tsig.of_kcodes: code vectors must match the arities of Omega"
   done;
+  let blocks = Omega.blocks omega in
   Bits.build (Omega.width omega) (fun set ->
-      for i = 0 to k - 2 do
-        let ci = codes.(i) in
-        for j = i + 1 to k - 1 do
-          let cj = codes.(j) in
-          let m = Array.length cj in
-          let base = Omega.block_offset omega i j in
-          for a = 0 to Array.length ci - 1 do
-            let c = ci.(a) in
-            if c >= 0 then
-              for b = 0 to m - 1 do
-                if Int.equal c cj.(b) then set (base + (a * m) + b)
-              done
-          done
+      for e = 0 to Array.length blocks - 1 do
+        let i, j, base = blocks.(e) in
+        let ci = codes.(i) and cj = codes.(j) in
+        let m = Array.length cj in
+        for a = 0 to Array.length ci - 1 do
+          let c = ci.(a) in
+          if c >= 0 then
+            for b = 0 to m - 1 do
+              if Int.equal c cj.(b) then set (base + (a * m) + b)
+            done
         done
       done)
 
@@ -75,20 +74,18 @@ let of_ktuples omega tuples =
   let k = Omega.n_relations omega in
   if not (Int.equal (Array.length tuples) k) then
     invalid_arg "Tsig.of_ktuples: need one tuple per relation";
+  let blocks = Omega.blocks omega in
   Bits.build (Omega.width omega) (fun set ->
-      for i = 0 to k - 2 do
-        let ti = tuples.(i) in
-        for j = i + 1 to k - 1 do
-          let tj = tuples.(j) in
-          let m = Omega.arity_at omega j in
-          let base = Omega.block_offset omega i j in
-          for a = 0 to Omega.arity_at omega i - 1 do
-            let v = Tuple.get ti a in
-            if not (Value.is_null v) then
-              for b = 0 to m - 1 do
-                if Value.eq v (Tuple.get tj b) then set (base + (a * m) + b)
-              done
-          done
+      for e = 0 to Array.length blocks - 1 do
+        let i, j, base = blocks.(e) in
+        let ti = tuples.(i) and tj = tuples.(j) in
+        let m = Omega.arity_at omega j in
+        for a = 0 to Omega.arity_at omega i - 1 do
+          let v = Tuple.get ti a in
+          if not (Value.is_null v) then
+            for b = 0 to m - 1 do
+              if Value.eq v (Tuple.get tj b) then set (base + (a * m) + b)
+            done
         done
       done)
 

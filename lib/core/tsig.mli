@@ -15,8 +15,8 @@ val of_tuples :
 val of_codes : Omega.t -> int array -> int array -> Jqi_util.Bits.t
 
 (** [of_kcodes omega codes] is the k-ary T-signature of one code vector
-    per relation: a bit for every cross-relation attribute pair whose
-    codes match (negative codes match nothing).  For k = 2 this is
+    per relation: a bit for every attribute pair of a block of [omega]
+    whose codes match (negative codes match nothing).  For k = 2 this is
     bit-identical to {!of_codes}.  Raises [Invalid_argument] on a wrong
     relation count or vector length. *)
 val of_kcodes : Omega.t -> int array array -> Jqi_util.Bits.t

@@ -94,10 +94,11 @@ let of_signature_list ?relations omega sigs =
   let total = Array.fold_left (fun s c -> s + c.count) 0 classes in
   { omega; classes; total; relations; cache = None }
 
-(* Ω over the relations in order, one block per relation pair, named
-   after the relations so goals can say "rel.attr". *)
-let omega_of rels =
-  Omega.of_schemas_kary
+(* Ω over the relations in order, one block per edge (every relation
+   pair by default), named after the relations so goals can say
+   "rel.attr". *)
+let omega_of ?edges rels =
+  Omega.of_schemas_kary ?edges
     (Array.to_list
        (Array.map (fun r -> (Relation.name r, Relation.schema r)) rels))
 
@@ -364,12 +365,12 @@ let c_kary_collapsed = Obs.Counter.make "universe.kary_collapsed"
    ∏ R_i — the executable definition of the universe at any k and the
    differential oracle for [build].  Exponential in k; tests and benches
    only. *)
-let build_kary_naive rels =
+let build_kary_naive ?edges rels =
   Obs.span "universe.build_kary_naive" @@ fun () ->
   let rels = Array.of_list rels in
   check_relations ~entry:"Universe.build_kary_naive" rels;
   let k = Array.length rels in
-  let omega = omega_of rels in
+  let omega = omega_of ?edges rels in
   let acc = H.create 256 in
   let tuples = Array.make k (Relation.row rels.(0) 0) in
   let rep = Array.make k 0 in
@@ -402,16 +403,17 @@ let build_kary_naive rels =
 
    2. Disconnected-suffix collapse: walking relations left to right, when
       none of the codes of the profiles chosen so far appears in any
-      remaining relation, no further cross bits can be produced — the
-      walk folds in the precomputed *suffix universe* (classes of
-      R_j × … × R_{k-1} alone) in one step per suffix class rather than
-      descending.  Suffix universes are built bottom-up by the same walk,
-      so the construction is one pass of k stages.
+      remaining relation joined to them by an edge of Ω, no further
+      cross bits can be produced — the walk folds in the precomputed
+      *suffix universe* (classes of R_j × … × R_{k-1} alone) in one step
+      per suffix class rather than descending.  Suffix universes are
+      built bottom-up by the same walk, so the construction is one pass
+      of k stages.
 
-   Pairwise block signatures are cached per (relation pair, profile
-   pair), so each is computed once even though the walk revisits it on
-   every branch — this is where the "pairwise binary composition" reuse
-   lives.
+   Block signatures are computed only for the blocks of Ω and cached per
+   (block, profile pair), so each is computed once even though the walk
+   revisits it on every branch — this is where the "pairwise binary
+   composition" reuse lives.
 
    Identical to [build_kary_naive] by the same argument as the binary
    kernel: same classes and counts by construction, and representatives
@@ -442,19 +444,30 @@ let build_walk ~limit omega rels =
         h)
       profs
   in
-  (* Per profile, the bitmask of relations sharing at least one code. *)
+  (* The blocks of Ω as adjacency: each relation's edge neighbours, and
+     per relation j the blocks (i, j) ending there with their offsets. *)
+  let nbrs = Array.make k [] and into = Array.make k [] in
+  Array.iter
+    (fun (i, j, base) ->
+      nbrs.(i) <- j :: nbrs.(i);
+      nbrs.(j) <- i :: nbrs.(j);
+      into.(j) <- (i, base) :: into.(j))
+    (Omega.blocks omega);
+  (* Per profile, the bitmask of edge neighbours sharing at least one
+     code. *)
   let touch =
-    Array.map
-      (fun ps ->
+    Array.mapi
+      (fun i ps ->
         Array.map
           (fun p ->
             let m = ref 0 in
             Array.iter
               (fun c ->
                 if c >= 0 then
-                  for j = 0 to k - 1 do
-                    if Hashtbl.mem rel_codes.(j) c then m := !m lor (1 lsl j)
-                  done)
+                  List.iter
+                    (fun j ->
+                      if Hashtbl.mem rel_codes.(j) c then m := !m lor (1 lsl j))
+                    nbrs.(i))
               p.codes;
             !m)
           ps)
@@ -468,9 +481,9 @@ let build_walk ~limit omega rels =
         done;
         !m)
   in
-  (* Cached pairwise block signatures, keyed by profile-index pair. *)
+  (* Cached block signatures, keyed by profile-index pair. *)
   let block_tbl = Array.init k (fun _ -> Array.init k (fun _ -> Hashtbl.create 16)) in
-  let block_sig i a j b =
+  let block_sig i a j b base =
     let tbl = block_tbl.(i).(j) in
     let key = (a * Array.length profs.(j)) + b in
     match Hashtbl.find_opt tbl key with
@@ -478,7 +491,6 @@ let build_walk ~limit omega rels =
     | None ->
         let ci = profs.(i).(a).codes and cj = profs.(j).(b).codes in
         let m = Array.length cj in
-        let base = Omega.block_offset omega i j in
         let s =
           Bits.build width (fun set ->
               for x = 0 to Array.length ci - 1 do
@@ -507,12 +519,14 @@ let build_walk ~limit omega rels =
   in
   (* suffix.(m): classes of R_m × … × R_{k-1} alone, as full-width
      signatures (their bits live in suffix blocks only) with suffix-length
-     representatives.  suffix.(k) is the neutral element. *)
+     representatives.  suffix.(k) is the neutral element.  [cur.(i)] is
+     the profile the walk has chosen for relation i (m ≤ i < j). *)
   let suffix = Array.make (k + 1) [] in
   suffix.(k) <- [ (Bits.empty width, 1, [||]) ];
+  let cur = Array.make k 0 in
   for m = k - 1 downto 0 do
     let acc = H.create 256 in
-    let rec walk j sig_ mult rep_rev touched chosen =
+    let rec walk j sig_ mult rep_rev touched =
       if Int.equal j k then begin
         bump ();
         merge_into acc sig_ mult (rep_of rep_rev (j - m) [||])
@@ -530,19 +544,21 @@ let build_walk ~limit omega rels =
           (fun bidx b ->
             let sig' =
               List.fold_left
-                (fun s (i, aidx) -> Bits.union s (block_sig i aidx j bidx))
-                sig_ chosen
+                (fun s (i, base) ->
+                  if i >= m then Bits.union s (block_sig i cur.(i) j bidx base)
+                  else s)
+                sig_ into.(j)
             in
+            cur.(j) <- bidx;
             walk (j + 1) sig' (mult * b.multiplicity) (b.first_row :: rep_rev)
-              (touched lor touch.(j).(bidx))
-              ((j, bidx) :: chosen))
+              (touched lor touch.(j).(bidx)))
           profs.(j)
     in
     Array.iteri
       (fun aidx a ->
+        cur.(m) <- aidx;
         walk (m + 1) (Bits.empty width) a.multiplicity [ a.first_row ]
-          touch.(m).(aidx)
-          [ (m, aidx) ])
+          touch.(m).(aidx))
       profs.(m);
     suffix.(m) <- H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc []
   done;
@@ -550,11 +566,12 @@ let build_walk ~limit omega rels =
   of_signature_list ~relations:rels omega suffix.(0)
 
 (* Arity picks the builder: the kernel handles exactly one relation
-   pair, the walk any longer list. *)
-let build ?(limit = default_kary_limit) rels =
+   pair (whose only possible edge set is the pair itself), the walk any
+   longer list. *)
+let build ?(limit = default_kary_limit) ?edges rels =
   let rels = Array.of_list rels in
   check_relations ~entry:"Universe.build" rels;
-  let omega = omega_of rels in
+  let omega = omega_of ?edges rels in
   match rels with
   | [| r; p |] -> build_pair omega r p
   | _ -> build_walk ~limit omega rels

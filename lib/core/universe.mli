@@ -26,7 +26,16 @@ exception Kary_too_large of { work : int; limit : int }
     and produces signatures over every cross-relation attribute pair
     ({!Omega.of_schemas_kary} layout, relations named by
     [Relation.name]).  At k = 2 the layout is the paper's attrs(R) ×
-    attrs(P), so a binary join is simply the two-element list. *)
+    attrs(P), so a binary join is simply the two-element list.
+
+    [edges], where a builder takes it, is {!Omega.create_kary}'s edge
+    set: only those relation pairs get a block, so a predicate can only
+    join along them.  The chain [[(0,1); (1,2); …]] makes the universe
+    of join paths (the paper's §7): a path predicate selects a tuple iff
+    every edge selects its pair, which is θ ⊆ T(t) over the
+    concatenated blocks, so {!State}, {!Strategy} and {!Inference} run
+    on it unchanged.  Raises [Invalid_argument] on an invalid edge
+    set. *)
 
 (** The quotient of R_0 × … × R_{k-1}.  Interns every cell into a shared
     {!Jqi_relational.Dict} code space and groups each relation's rows by
@@ -39,7 +48,8 @@ exception Kary_too_large of { work : int; limit : int }
       O((|R|+|P|)·arity + postings visited + touched pairs · words);
     - at k ≥ 3, runs a trie walk over distinct-profile k-tuples (span
       [universe.build_kary]) that folds disconnected suffixes in via
-      precomputed suffix universes and caches pairwise block signatures.
+      precomputed suffix universes and caches the block signatures of
+      the edges.
       Raises {!Kary_too_large} when the walk exceeds [limit] (default
       2·10⁷) class merges; [limit] has no effect at k = 2.
 
@@ -47,7 +57,8 @@ exception Kary_too_large of { work : int; limit : int }
     each representative is the lexicographically smallest member row
     vector of its class.  Raises [Invalid_argument] on fewer than two
     relations or an empty product. *)
-val build : ?limit:int -> Jqi_relational.Relation.t list -> t
+val build :
+  ?limit:int -> ?edges:(int * int) list -> Jqi_relational.Relation.t list -> t
 
 (** The reference per-pair scan of R × P: one [Tsig.of_tuples] call per
     tuple, O(|R|·|P|·|Ω|).  Kept as the executable definition and the
@@ -55,8 +66,10 @@ val build : ?limit:int -> Jqi_relational.Relation.t list -> t
 val build_naive : Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
 
 (** The reference k-way scan — one signature per raw tuple of ∏ R_i.
-    Exponential in k; the differential oracle for {!build} at any k. *)
-val build_kary_naive : Jqi_relational.Relation.t list -> t
+    Exponential in k; the differential oracle for {!build} at any k and
+    any edge set. *)
+val build_kary_naive :
+  ?edges:(int * int) list -> Jqi_relational.Relation.t list -> t
 
 (** Approximate universe for products too large to scan: [tuples] uniform
     random row vectors (one [Prng.int] per relation, in order) instead of

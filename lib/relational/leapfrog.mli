@@ -17,7 +17,7 @@
     triejoin path builds one {!Trie} per relation — key columns are the
     relation's variables in the chosen variable ordering — and runs the
     classic leapfrog search (Veldhuizen, ICDT 2014) level by level.
-    Orderings come from [Jqi_joinpath]; any permutation of the variables
+    Orderings come from {!Ordering}; any permutation of the variables
     yields the same result set. *)
 
 (** A column position: (relation index, column index). *)

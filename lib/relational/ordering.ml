@@ -2,8 +2,6 @@
    only by construction (the comparison breaks ties on the variable
    index), so equal inputs give equal orders on every run. *)
 
-module Leapfrog = Jqi_relational.Leapfrog
-
 let permutation vars compare_at =
   let n = Array.length vars in
   let order = Array.init n (fun i -> i) in

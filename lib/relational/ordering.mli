@@ -4,24 +4,24 @@
     variables, but constant factors swing wildly with the order: binding
     low-cardinality, high-degree variables first prunes the search tree
     near the root.  This module enumerates a small deduplicated set of
-    deterministic candidate orders over a {!Jqi_relational.Leapfrog.var}
-    array — the search space the bench sweeps and the engine's default
-    pick comes from.  Each order is a permutation of variable indexes,
+    deterministic candidate orders over a {!Leapfrog.var} array — the
+    search space the bench sweeps and the engine's default pick comes
+    from.  Each order is a permutation of variable indexes,
     directly usable as [Leapfrog.join ~order]. *)
 
 (** The classic triejoin heuristic: ascending estimated cardinality
     (fewest distinct joinable codes first), ties by discovery index. *)
-val by_cardinality : Jqi_relational.Leapfrog.var array -> int array
+val by_cardinality : Leapfrog.var array -> int array
 
 (** Descending degree (variables touching the most column positions
     first), ties by discovery index. *)
-val by_degree : Jqi_relational.Leapfrog.var array -> int array
+val by_degree : Leapfrog.var array -> int array
 
 (** Candidate orders, deduplicated, the default pick first: ascending
     cardinality, then descending degree, then discovery (identity)
     order.  Always non-empty; a single candidate means the heuristics
     agree. *)
-val candidates : Jqi_relational.Leapfrog.var array -> int array list
+val candidates : Leapfrog.var array -> int array list
 
 (** The default order: {!by_cardinality}. *)
-val default : Jqi_relational.Leapfrog.var array -> int array
+val default : Leapfrog.var array -> int array

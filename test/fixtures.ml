@@ -86,3 +86,22 @@ let tuple_testable = Alcotest.testable Tuple.pp Tuple.equal
 
 let value_testable =
   Alcotest.testable Value.pp (fun a b -> Value.compare a b = 0)
+
+(* Structural equality of two universes at any k, representatives
+   included.  Returns bool so it can sit inside qcheck properties. *)
+let universes_agree u1 u2 =
+  Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
+  && Int.equal (Universe.total_tuples u1) (Universe.total_tuples u2)
+  && Int.equal (Universe.n_relations u1) (Universe.n_relations u2)
+  &&
+  let rec go i =
+    i >= Universe.n_classes u1
+    || Jqi_util.Bits.equal (Universe.signature u1 i) (Universe.signature u2 i)
+       && Int.equal (Universe.count u1 i) (Universe.count u2 i)
+       && (let r1 = (Universe.cls u1 i).Universe.rep
+           and r2 = (Universe.cls u2 i).Universe.rep in
+           Int.equal (Array.length r1) (Array.length r2)
+           && Array.for_all2 Int.equal r1 r2)
+       && go (i + 1)
+  in
+  go 0

@@ -10,7 +10,6 @@
    primitives that make deletion real (heap tombstones + frontier
    reclamation, B-tree key removal, relstore churn + reopen). *)
 
-module Bits = Jqi_util.Bits
 module Value = Jqi_relational.Value
 module Schema = Jqi_relational.Schema
 module Tuple = Jqi_relational.Tuple
@@ -44,23 +43,7 @@ let relation_of name prefix rows =
          (List.init arity (fun i -> Printf.sprintf "%s%d" prefix i)))
     rows
 
-(* Structural agreement over any arity k (generalizes the binary helper
-   in test_universe_quotient.ml). *)
-let universes_agree u1 u2 =
-  Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
-  && Int.equal (Universe.total_tuples u1) (Universe.total_tuples u2)
-  &&
-  let rec go i =
-    i >= Universe.n_classes u1
-    || Bits.equal (Universe.signature u1 i) (Universe.signature u2 i)
-       && Int.equal (Universe.count u1 i) (Universe.count u2 i)
-       && (let rep1 = (Universe.cls u1 i).Universe.rep
-           and rep2 = (Universe.cls u2 i).Universe.rep in
-           Int.equal (Array.length rep1) (Array.length rep2)
-           && Array.for_all2 Int.equal rep1 rep2)
-       && go (i + 1)
-  in
-  go 0
+let universes_agree = Fixtures.universes_agree
 
 let check_agree label u1 u2 =
   Alcotest.(check bool) label true (universes_agree u1 u2)
@@ -419,13 +402,13 @@ let delta_of_batch rows (adds, picks) =
 
 (* Drive one relation's edit script against a fixed partner, comparing
    the incrementally maintained universe to a from-scratch build after
-   every batch. *)
-let run_script ~kary (init_r, batches) =
+   every batch.  [edges] masks the k-ary universe's Ω. *)
+let run_script ?edges ~kary (init_r, batches) =
   let rows_p = List.map Tuple.ints [ [ 1 ]; [ 2 ]; [ 1 ] ] in
   let p = relation_of "p" "b" rows_p in
   let build rows =
     if kary then
-      Universe.build
+      Universe.build ?edges
         [ relation_of "r" "a" rows; p; relation_of "q" "c" rows_p ]
     else Universe.build [ relation_of "r" "a" rows; p ]
   in
@@ -456,6 +439,14 @@ let qcheck_kary_scripts =
     ~count:60
     (QCheck.make (gen_script_arity 1 2))
     (run_script ~kary:true)
+
+(* A join-path universe: the churned relation r only joins p, and p
+   only joins q. *)
+let qcheck_chain_scripts =
+  QCheck.Test.make
+    ~name:"apply_delta = rebuild on random edit scripts (chain-masked)" ~count:60
+    (QCheck.make (gen_script_arity 1 2))
+    (run_script ~edges:[ (0, 1); (1, 2) ] ~kary:true)
 
 (* Same oracle with the churned relation living in a paged store: deltas
    mutate the heap file in place through the backend hook. *)
@@ -515,4 +506,9 @@ let suite =
     Alcotest.test_case "universe: k-ary delta" `Quick test_universe_kary_delta;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_binary_scripts; qcheck_kary_scripts; qcheck_paged_scripts ]
+      [
+        qcheck_binary_scripts;
+        qcheck_kary_scripts;
+        qcheck_paged_scripts;
+        qcheck_chain_scripts;
+      ]

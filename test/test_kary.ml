@@ -4,8 +4,10 @@
    pairwise composition and with the never-optimized nested-loop oracle
    on result multisets; [Universe.build] must reproduce
    [Universe.build_kary_naive] exactly at every k, match the binary
-   oracle [build_naive] on two relations, and refuse oversized k >= 3
-   walks with the typed [Kary_too_large] (never at k = 2); sampled
+   oracle [build_naive] on two relations, reproduce
+   [build_kary_naive ~edges] under any edge set (chain, star, single
+   edge, disconnected), and refuse oversized k >= 3 walks with the
+   typed [Kary_too_large] (never at k = 2); sampled
    universes must depend only on the seed and, on two relations, draw
    each pair as (row of R, row of P). *)
 
@@ -16,7 +18,7 @@ module Schema = Jqi_relational.Schema
 module Tuple = Jqi_relational.Tuple
 module Relation = Jqi_relational.Relation
 module Leapfrog = Jqi_relational.Leapfrog
-module Ordering = Jqi_joinpath.Ordering
+module Ordering = Jqi_relational.Ordering
 module Omega = Jqi_core.Omega
 module Universe = Jqi_core.Universe
 
@@ -28,24 +30,7 @@ let relation_of name prefix rows =
          (List.init arity (fun i -> Printf.sprintf "%s%d" prefix i)))
     rows
 
-(* Structural equality of two universes, k-ary representatives included.
-   Returns bool so it can sit inside qcheck properties. *)
-let universes_agree u1 u2 =
-  Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
-  && Int.equal (Universe.total_tuples u1) (Universe.total_tuples u2)
-  && Int.equal (Universe.n_relations u1) (Universe.n_relations u2)
-  &&
-  let rec go i =
-    i >= Universe.n_classes u1
-    || Bits.equal (Universe.signature u1 i) (Universe.signature u2 i)
-       && Int.equal (Universe.count u1 i) (Universe.count u2 i)
-       && (let r1 = (Universe.cls u1 i).Universe.rep
-           and r2 = (Universe.cls u2 i).Universe.rep in
-           Int.equal (Array.length r1) (Array.length r2)
-           && Array.for_all2 Int.equal r1 r2)
-       && go (i + 1)
-  in
-  go 0
+let universes_agree = Fixtures.universes_agree
 
 (* ------------------------- instance generator ---------------------- *)
 
@@ -251,6 +236,57 @@ let qcheck_k2_is_binary_build =
                (Omega.width (Universe.omega k))
       | _ -> false)
 
+(* Edge sets over k relations: a chain, a star, a single edge, a
+   disconnected mask (relation 2 alone at k = 3, two components at
+   k = 4) or any non-empty subset of the pairs. *)
+let gen_edges k =
+  QCheck.Gen.(
+    let all =
+      List.concat (List.init k (fun i -> List.init (k - 1 - i) (fun d -> (i, i + 1 + d))))
+    in
+    oneof
+      [
+        return (List.init (k - 1) (fun i -> (i, i + 1)));
+        map
+          (fun c ->
+            List.filter_map
+              (fun j ->
+                if Int.equal j c then None else Some (Int.min c j, Int.max c j))
+              (List.init k Fun.id))
+          (int_bound (k - 1));
+        map (fun e -> [ e ]) (oneofl all);
+        return (if k >= 4 then [ (0, 1); (2, 3) ] else [ (0, 1) ]);
+        map
+          (fun mask -> List.filteri (fun b _ -> mask land (1 lsl b) <> 0) all)
+          (int_range 1 ((1 lsl List.length all) - 1));
+      ])
+
+let print_edges edges =
+  String.concat ";" (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) edges)
+
+let qcheck_edges_equals_naive =
+  QCheck.Test.make ~name:"build ~edges = build_kary_naive ~edges" ~count:250
+    (QCheck.make
+       ~print:(fun (rowss, edges) ->
+         Printf.sprintf "%s edges=[%s]" (print_instance rowss) (print_edges edges))
+       QCheck.Gen.(
+         let* rowss = gen_instance ~min_k:3 ~max_k:4 ~max_rows:4 in
+         let* edges = gen_edges (List.length rowss) in
+         return (rowss, edges)))
+    (fun (rowss, edges) ->
+      let rels = relations_of rowss in
+      universes_agree (Universe.build_kary_naive ~edges rels) (Universe.build ~edges rels))
+
+let qcheck_k2_edges_is_default =
+  QCheck.Test.make ~name:"k = 2 build ~edges:[(0,1)] = build (byte identity)"
+    ~count:100
+    (arb_instance ~min_k:2 ~max_k:2 ~max_rows:6)
+    (fun rowss ->
+      let rels = relations_of rowss in
+      let d = Universe.build rels and e = Universe.build ~edges:[ (0, 1) ] rels in
+      universes_agree d e
+      && Int.equal (Omega.width (Universe.omega d)) (Omega.width (Universe.omega e)))
+
 let qcheck_sampled_kary_deterministic =
   QCheck.Test.make ~name:"build_sampled_kary depends only on the seed"
     ~count:100
@@ -366,3 +402,5 @@ let suite =
       Alcotest.test_case "build ~limit:1 never trips at k = 2" `Quick
         test_limit_ignored_at_k2;
     ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ qcheck_edges_equals_naive; qcheck_k2_edges_is_default ]
