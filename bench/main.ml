@@ -748,17 +748,15 @@ let run_kary ~full ~seed =
    the buffer-pool hit rate of the paged build (sequential heap scans
    pin per record, so a 4 KiB page amortizes ~60 pins per fault —
    the acceptance floor is 0.9), random point-read throughput with its
-   page-fault rate, a disk B-tree index probe, and the pinned-frame
-   leak check.  Results land in BENCH_STORAGE.json. *)
+   page-fault rate, and the pinned-frame leak check.  Results land in
+   BENCH_STORAGE.json. *)
 let run_storage ~full ~seed =
   let module Json = Jqi_util.Json in
   let module Relation = Jqi_relational.Relation in
   let module Csv = Jqi_relational.Csv in
-  let module Tuple = Jqi_relational.Tuple in
   let module Relstore = Jqi_storage.Relstore in
   let module Buffer_pool = Jqi_storage.Buffer_pool in
   let module Heap = Jqi_storage.Heap in
-  let module Btree = Jqi_storage.Btree in
   section_header "Out-of-core storage — paged heap files vs in-memory arrays";
   let scale = if full then 60 else 20 in
   let frames = 8 in
@@ -853,19 +851,6 @@ let run_storage ~full ~seed =
   Printf.printf
     "  point reads: %.0f rows/s (%d random reads, fault rate %.3f)\n"
     reads_per_s n_reads fault_rate;
-  (* Disk B-tree over l_orderkey: every indexed rid must decode to a row
-     whose column equals the probed key's value. *)
-  let bt_path = tmp "-lineitem-okey.jqb" in
-  let bt = Relstore.index_column ~pool_frames:frames ~path:bt_path store_r 0 in
-  let bt_ok = ref (Int.equal (Btree.count bt) n_rows) in
-  Btree.iter bt (fun code rid ->
-      let row = Relstore.row_of_rid store_r (Int64.to_int rid) in
-      let v = Tuple.get row 0 in
-      let expect = Relstore.value_of_code store_r (Int64.to_int code) in
-      if not (Jqi_relational.Value.eq v expect) then bt_ok := false);
-  Printf.printf "  b-tree on l_orderkey: %d entries, height %d, probe %s\n"
-    (Btree.count bt) (Btree.height bt)
-    (if !bt_ok then "ok" else "MISMATCH");
   let pinned_leaked =
     Buffer_pool.pinned (Relstore.pool store_r)
     + Buffer_pool.pinned (Relstore.pool store_p)
@@ -897,12 +882,8 @@ let run_storage ~full ~seed =
          ("hit_rate", Json.Num hit_rate);
          ("point_reads_per_s", Json.Num reads_per_s);
          ("point_read_fault_rate", Json.Num fault_rate);
-         ("btree_entries", Json.int (Btree.count bt));
-         ("btree_height", Json.int (Btree.height bt));
-         ("btree_ok", Json.Bool !bt_ok);
          ("pinned_leaked", Json.int pinned_leaked);
        ]);
-  Btree.close bt;
   Relstore.close store_r;
   Relstore.close store_p;
   Printf.printf "wrote %s\n" path

@@ -51,48 +51,53 @@ let obs_finish ~trace ~metrics =
     print_string (Obs.Report.render (Obs.Report.snapshot ()))
   end
 
+(* A relation is named after its CSV file unless a spec names it. *)
+let table_of_path path =
+  (Filename.remove_extension (Filename.basename path), path)
+
+(* "name=path" or bare "path" (named after the file). *)
+let parse_table_spec spec =
+  match String.index_opt spec '=' with
+  | Some k ->
+      ( String.sub spec 0 k,
+        String.sub spec (k + 1) (String.length spec - k - 1) )
+  | None -> table_of_path spec
+
 (* --backend mem|paged: [Mem] materializes rows in arrays; [Paged]
    streams the CSV into a heap-file store and scans it through a
    --buffer-pages-frame buffer pool (temp files, removed on exit). *)
-let load_rel ?(backend = Relstore.Mem) path =
-  Relstore.load_csv_relation ~backend
-    ~name:(Filename.remove_extension (Filename.basename path))
-    path
+let load_table ?(backend = Relstore.Mem) (name, path) =
+  Relstore.load_csv_relation ~backend ~name path
+
+let load_rel ?backend path = load_table ?backend (table_of_path path)
 
 let load_pair ?backend r_path p_path =
   (load_rel ?backend r_path, load_rel ?backend p_path)
 
-(* The instance's CSV paths: the two R.csv P.csv positionals, or
-   "--relations a.csv,b.csv,c.csv" for k >= 2 relations. *)
-let relation_paths ~cmd r_path p_path relations =
+(* The instance's tables as (name, path): the two R.csv P.csv
+   positionals, or "--relations a.csv,b=b.csv,c.csv" for k >= 2
+   relations, each item a [parse_table_spec] spec. *)
+let instance_tables ~cmd r_path p_path relations =
   match (relations, r_path, p_path) with
   | Some spec, None, None ->
-      let paths =
+      let specs =
         List.filter
           (fun s -> not (String.equal s ""))
           (List.map String.trim (String.split_on_char ',' spec))
       in
-      if List.compare_length_with paths 2 < 0 then begin
+      if List.compare_length_with specs 2 < 0 then begin
         Printf.eprintf "--relations needs at least two CSV paths, got %S\n" spec;
         exit 2
       end;
-      paths
+      List.map parse_table_spec specs
   | Some _, Some _, _ | Some _, _, Some _ ->
       Printf.eprintf
         "%s takes either R.csv P.csv positionals or --relations, not both\n" cmd;
       exit 2
-  | None, Some r, Some p -> [ r; p ]
+  | None, Some r, Some p -> [ table_of_path r; table_of_path p ]
   | None, None, _ | None, _, None ->
       Printf.eprintf "%s needs R.csv P.csv positionals or --relations\n" cmd;
       exit 2
-
-(* Lookahead engine selection (--engine): the fast engine is the default;
-   the reference engine is the Algorithm 5 transcription kept as the
-   differential oracle. *)
-let lks_of ~engine k =
-  match engine with
-  | `Fast -> Strategy.lks k
-  | `Reference -> Strategy.lks_reference k
 
 (* Universe builder selection (--universe): [Universe.build] is the
    default; naive is the Cartesian reference scan kept for differentials;
@@ -109,16 +114,11 @@ let build_universe ~seed ubuilder rels =
   | `Quotient -> Universe.build rels
   | `Sampled tuples -> Universe.build_sampled (Prng.create seed) ~tuples rels
 
-let strategy_of_name ~seed ~engine = function
-  | "bu" -> Strategy.bu
-  | "td" -> Strategy.td
-  | "l1s" -> lks_of ~engine 1
-  | "l2s" -> lks_of ~engine 2
-  | "rnd" -> Strategy.rnd (Prng.create seed)
-  | "igs" -> Strategy.igs (Prng.create seed)
-  | "hybrid" -> Strategy.hybrid
-  | s ->
-      Printf.eprintf "unknown strategy %S (bu|td|l1s|l2s|rnd|igs|hybrid)\n" s;
+let strategy_or_exit ~seed name =
+  match Strategy.of_name ~seed name with
+  | Some strategy -> strategy
+  | None ->
+      Printf.eprintf "unknown strategy %S (bu|td|l1s|l2s|rnd|igs|hybrid)\n" name;
       exit 2
 
 (* "A1=B2,A3=B1" -> name pairs *)
@@ -135,10 +135,17 @@ let parse_goal spec =
 (* A bare "a=b" over two relations means left = right ([Omega.of_names]),
    so a self-join may name one attribute on both sides.  Anything that
    reading rejects (k >= 3, "rel.attr" names, a reversed pair) resolves
-   through [Omega.of_names_kary]. *)
+   through [Omega.of_names_kary]; a goal neither reading accepts is a
+   usage error. *)
 let goal_of omega pairs =
-  try Omega.of_names omega pairs
-  with Invalid_argument _ -> Omega.of_names_kary omega pairs
+  match Omega.of_names omega pairs with
+  | goal -> goal
+  | exception Invalid_argument _ -> (
+      match Omega.of_names_kary omega pairs with
+      | goal -> goal
+      | exception Invalid_argument msg ->
+          Printf.eprintf "bad --goal: %s\n" msg;
+          exit 2)
 
 (* ----------------------------- infer ------------------------------ *)
 
@@ -199,16 +206,16 @@ let selected_tuples universe predicate =
     0
     (Universe.selected_classes universe predicate)
 
-let load_instance ~seed ubuilder backend paths =
-  let rels = List.map (fun p -> load_rel ~backend p) paths in
+let load_instance ~seed ubuilder backend tables =
+  let rels = List.map (load_table ~backend) tables in
   (rels, build_universe ~seed ubuilder rels)
 
-let cmd_infer r_path p_path relations strategy_name seed verbose engine
-    ubuilder backend resume save trace metrics =
-  let paths = relation_paths ~cmd:"infer" r_path p_path relations in
+let cmd_infer r_path p_path relations strategy_name seed verbose ubuilder
+    backend resume save trace metrics =
+  let tables = instance_tables ~cmd:"infer" r_path p_path relations in
   setup_logs verbose;
   obs_setup ~trace ~metrics;
-  let rels, universe = load_instance ~seed ubuilder backend paths in
+  let rels, universe = load_instance ~seed ubuilder backend tables in
   let omega = Universe.omega universe in
   let rel_arr = Array.of_list rels in
   Printf.printf
@@ -221,7 +228,7 @@ let cmd_infer r_path p_path relations strategy_name seed verbose engine
           rels))
     (Universe.n_classes universe) (Omega.width omega)
     (builder_name ubuilder);
-  let strategy = strategy_of_name ~seed ~engine strategy_name in
+  let strategy = strategy_or_exit ~seed strategy_name in
   let engine =
     match resume with
     | None -> Engine.create universe strategy
@@ -261,9 +268,9 @@ let cmd_infer r_path p_path relations strategy_name seed verbose engine
               "\nInput closed — session autosaved to %s.\nResume with:\n  \
                jqinfer infer %s --strategy %s --resume %s\n"
               path
-              (match paths with
-              | [ r; p ] -> r ^ " " ^ p
-              | _ -> "--relations " ^ String.concat "," paths)
+              (match relations with
+              | Some spec -> "--relations " ^ spec
+              | None -> String.concat " " (List.map snd tables))
               strategy_name path;
             None)
   in
@@ -298,12 +305,12 @@ let cmd_infer r_path p_path relations strategy_name seed verbose engine
 
 (* ---------------------------- simulate ---------------------------- *)
 
-let cmd_simulate r_path p_path relations goal_spec seed verbose engine
-    ubuilder backend trace metrics =
-  let paths = relation_paths ~cmd:"simulate" r_path p_path relations in
+let cmd_simulate r_path p_path relations goal_spec seed verbose ubuilder
+    backend trace metrics =
+  let tables = instance_tables ~cmd:"simulate" r_path p_path relations in
   setup_logs verbose;
   obs_setup ~trace ~metrics;
-  let rels, universe = load_instance ~seed ubuilder backend paths in
+  let rels, universe = load_instance ~seed ubuilder backend tables in
   let omega = Universe.omega universe in
   let goal = goal_of omega (parse_goal goal_spec) in
   Printf.printf
@@ -317,7 +324,7 @@ let cmd_simulate r_path p_path relations goal_spec seed verbose engine
     (Omega.pred_to_string omega goal);
   List.iter
     (fun name ->
-      let strategy = strategy_of_name ~seed ~engine name in
+      let strategy = strategy_or_exit ~seed name in
       let result = Inference.run universe strategy (Oracle.honest ~goal) in
       Printf.printf "  %-4s %4d interactions  %8.4fs  inferred %s%s\n"
         result.strategy result.n_interactions result.elapsed
@@ -512,16 +519,8 @@ let cmd_query sql table_specs =
   let catalog =
     List.map
       (fun spec ->
-        match String.index_opt spec '=' with
-        | Some k ->
-            let name = String.sub spec 0 k in
-            let path = String.sub spec (k + 1) (String.length spec - k - 1) in
-            (name, Csv.load_relation ~name path)
-        | None ->
-            (Filename.remove_extension (Filename.basename spec),
-             Csv.load_relation
-               ~name:(Filename.remove_extension (Filename.basename spec))
-               spec))
+        let name, path = parse_table_spec spec in
+        (name, Csv.load_relation ~name path))
       table_specs
   in
   match Jqi_sql.Engine.query catalog sql with
@@ -531,14 +530,6 @@ let cmd_query sql table_specs =
       exit 1
 
 (* ------------------------------ serve ----------------------------- *)
-
-(* "name=path" or bare "path" (named after the file). *)
-let parse_table_spec spec =
-  match String.index_opt spec '=' with
-  | Some k ->
-      ( String.sub spec 0 k,
-        String.sub spec (k + 1) (String.length spec - k - 1) )
-  | None -> (Filename.remove_extension (Filename.basename spec), spec)
 
 (* "host:port" (numeric host) or "path.sock" → a listener address. *)
 let parse_listen_addr spec =
@@ -644,7 +635,7 @@ let cmd_client server_command r_path p_path goal_spec strategy resume_after
   (* The honest oracle, computed locally: positive iff goal ⊆ T(t). *)
   let r, p = load_pair r_path p_path in
   let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
-  let goal = Omega.of_names omega (parse_goal goal_spec) in
+  let goal = goal_of omega (parse_goal goal_spec) in
   let label_of r_row p_row =
     if
       Jqi_util.Bits.subset goal
@@ -767,7 +758,9 @@ let relations_arg =
         ~doc:"Infer an equijoin over two or more comma-separated CSV files \
               instead of the R.csv P.csv positionals (two files are the same \
               instance as the positionals); questions show one row per \
-              relation.")
+              relation.  An item $(i,NAME)=$(i,PATH) names its relation \
+              (default: the file name without extension), as in \
+              $(b,serve).")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed for randomized strategies.")
@@ -779,17 +772,6 @@ let strategy_arg =
   Arg.(
     value & opt string "td"
     & info [ "s"; "strategy" ] ~doc:"Strategy: bu, td, l1s, l2s, rnd, igs, hybrid.")
-
-(* --engine picks the lookahead implementation behind l1s/l2s; the other
-   strategies ignore it. *)
-let engine_arg =
-  let engine_conv = Arg.enum [ ("fast", `Fast); ("reference", `Reference) ] in
-  Arg.(
-    value & opt engine_conv `Fast
-    & info [ "engine" ]
-        ~doc:"Lookahead engine for l1s/l2s: $(b,fast) (incremental, memoized, \
-              pruned — the default) or $(b,reference) (the direct Algorithm 5 \
-              transcription).")
 
 let universe_arg =
   let parse s =
@@ -866,7 +848,7 @@ let infer_cmd =
        ~doc:"Interactively infer an equijoin over two CSV files (or k with \
              --relations)")
     Term.(const cmd_infer $ r_opt_arg $ p_opt_arg $ relations_arg
-          $ strategy_arg $ seed_arg $ verbose_arg $ engine_arg $ universe_arg
+          $ strategy_arg $ seed_arg $ verbose_arg $ universe_arg
           $ backend_term $ resume_arg $ save_arg $ trace_arg $ metrics_arg)
 
 let goal_arg =
@@ -879,7 +861,7 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Replay inference with a known goal, all strategies")
     Term.(const cmd_simulate $ r_opt_arg $ p_opt_arg $ relations_arg $ goal_arg
-          $ seed_arg $ verbose_arg $ engine_arg $ universe_arg $ backend_term
+          $ seed_arg $ verbose_arg $ universe_arg $ backend_term
           $ trace_arg $ metrics_arg)
 
 let scale_arg = Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Scale factor.")

@@ -177,9 +177,7 @@ let hybrid =
 let all ?(prng_seed = 42) () =
   [ rnd (Prng.create prng_seed); bu; td; l1s; l2s ]
 
-(* Strategy lookup by the CLI/protocol spelling.  The one constructor the
-   CLI offers that this cannot express is the --engine selection behind
-   l1s/l2s; callers that need it (bin/jqinfer) keep their own table. *)
+(* Strategy lookup by the spelling the CLI and the protocol share. *)
 let of_name ?(seed = 42) name =
   match String.lowercase_ascii (String.trim name) with
   | "bu" -> Some bu

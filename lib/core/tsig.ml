@@ -21,32 +21,11 @@ let of_tuples omega tr tp =
           done
       done)
 
-(* T over dictionary-encoded rows: [cr]/[cp] are [Dict] code vectors of a
-   left and a right row.  Codes replicate [Value.eq] (equal code ⟺
-   join-match; NULL/NaN carry a negative sentinel no code equals), so this
-   is [of_tuples] with every tag dispatch replaced by one integer compare.
-   The guard on the left code alone suffices: a negative right code can
-   never equal a non-negative left one. *)
-let of_codes omega cr cp =
-  if not
-       (Int.equal (Array.length cr) (Omega.left_arity omega)
-       && Int.equal (Array.length cp) (Omega.right_arity omega))
-  then
-    invalid_arg "Tsig.of_codes: code vectors must match the arities of Omega";
-  let m = Omega.right_arity omega in
-  Bits.build (Omega.width omega) (fun set ->
-      for i = 0 to Array.length cr - 1 do
-        let c = cr.(i) in
-        if c >= 0 then
-          for j = 0 to m - 1 do
-            if Int.equal c cp.(j) then set ((i * m) + j)
-          done
-      done)
-
 (* K-ary T: one tuple (or code vector) per relation; the signature has a
    bit for every attribute pair of every block of Ω that matches.  For
    k = 2 the block layout makes this coincide bit-for-bit with
-   [of_codes]. *)
+   [of_tuples].  Codes are [Dict] codes: equal code ⟺ join-match, and
+   NULL/NaN carry a negative sentinel that matches nothing. *)
 let of_kcodes omega codes =
   let k = Omega.n_relations omega in
   if not (Int.equal (Array.length codes) k) then

@@ -8,16 +8,11 @@
 val of_tuples :
   Omega.t -> Jqi_relational.Tuple.t -> Jqi_relational.Tuple.t -> Jqi_util.Bits.t
 
-(** [of_codes omega cr cp] is {!of_tuples} over {!Jqi_relational.Dict}
-    code vectors: equal codes are join-matches, negative codes (NULL/NaN)
-    match nothing.  Raises [Invalid_argument] when vector lengths differ
-    from the arities of [omega]. *)
-val of_codes : Omega.t -> int array -> int array -> Jqi_util.Bits.t
-
-(** [of_kcodes omega codes] is the k-ary T-signature of one code vector
-    per relation: a bit for every attribute pair of a block of [omega]
-    whose codes match (negative codes match nothing).  For k = 2 this is
-    bit-identical to {!of_codes}.  Raises [Invalid_argument] on a wrong
+(** [of_kcodes omega codes] is the k-ary T-signature of one
+    {!Jqi_relational.Dict} code vector per relation: a bit for every
+    attribute pair of a block of [omega] whose codes match (negative
+    codes, i.e. NULL/NaN, match nothing).  For k = 2 this is
+    bit-identical to {!of_tuples}.  Raises [Invalid_argument] on a wrong
     relation count or vector length. *)
 val of_kcodes : Omega.t -> int array array -> Jqi_util.Bits.t
 

@@ -5,22 +5,18 @@ let default_size = 4096
 let min_size = 512
 let max_size = 1 lsl 20
 
-type kind = Meta | Heap_dir | Heap_data | Btree_leaf | Btree_node | Free
+type kind = Meta | Heap_dir | Heap_data | Free
 
 let kind_to_byte = function
   | Meta -> 1
   | Heap_dir -> 2
   | Heap_data -> 3
-  | Btree_leaf -> 4
-  | Btree_node -> 5
   | Free -> 0
 
 let kind_of_byte = function
   | 1 -> Some Meta
   | 2 -> Some Heap_dir
   | 3 -> Some Heap_data
-  | 4 -> Some Btree_leaf
-  | 5 -> Some Btree_node
   | 0 -> Some Free
   | _ -> None
 
@@ -30,8 +26,6 @@ let pp_kind fmt k =
     | Meta -> "meta"
     | Heap_dir -> "heap-dir"
     | Heap_data -> "heap-data"
-    | Btree_leaf -> "btree-leaf"
-    | Btree_node -> "btree-node"
     | Free -> "free")
 
 let check_size n =
@@ -50,8 +44,6 @@ let get_u32 buf off =
   Int32.to_int (Bytes.get_int32_le buf off) land 0xffff_ffff
 
 let set_u32 buf off v = Bytes.set_int32_le buf off (Int32.of_int v)
-let get_i64 = Bytes.get_int64_le
-let set_i64 = Bytes.set_int64_le
 let get_string buf ~off ~len = Bytes.sub_string buf off len
 let set_string buf ~off s = Bytes.blit_string s 0 buf off (String.length s)
 

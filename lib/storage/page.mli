@@ -14,15 +14,18 @@ val min_size : int
 
 (** First byte of every page. *)
 type kind =
-  | Meta  (** file-level metadata (heap header, b-tree root pointer) *)
+  | Meta  (** file-level metadata (heap header + application blob) *)
   | Heap_dir  (** heap page directory: free-space entries + chain link *)
   | Heap_data  (** slotted page of variable-length records *)
-  | Btree_leaf  (** sorted (key, value) pairs + next-leaf link *)
-  | Btree_node  (** separator keys + child page ids *)
   | Free  (** zeroed / unused *)
 
 val kind_to_byte : kind -> int
+(** The on-disk tag: [Free] 0, [Meta] 1, [Heap_dir] 2, [Heap_data] 3.
+    Heap files depend on these bytes, so they never change. *)
+
 val kind_of_byte : int -> kind option
+(** Inverse of {!kind_to_byte}; [None] on any other byte. *)
+
 val pp_kind : Format.formatter -> kind -> unit
 
 val check_size : int -> int
@@ -46,8 +49,6 @@ val get_u16 : bytes -> int -> int
 val set_u16 : bytes -> int -> int -> unit
 val get_u32 : bytes -> int -> int
 val set_u32 : bytes -> int -> int -> unit
-val get_i64 : bytes -> int -> int64
-val set_i64 : bytes -> int -> int64 -> unit
 
 val get_string : bytes -> off:int -> len:int -> string
 val set_string : bytes -> off:int -> string -> unit

@@ -308,9 +308,6 @@ let decode_row t record =
 
 let get_row t i = decode_row t (Heap.get t.heap (Vec.get t.rids i))
 
-(* Fetch by heap rid — the pointer a B-tree index stores. *)
-let row_of_rid t rid = decode_row t (Heap.get t.heap rid)
-
 let iter_rows t f =
   let i = ref 0 in
   Heap.iter t.heap (fun _rid record ->
@@ -388,17 +385,6 @@ let rec paged_backend t =
 
 let relation t =
   Relation.of_paged ~name:t.name ~schema:t.schema (paged_backend t)
-
-let index_column ?page_size ?pool_frames ~path t col =
-  if col < 0 || col >= Schema.arity t.schema then
-    invalid_arg (Printf.sprintf "Relstore.index_column: no column %d" col);
-  let bt = Btree.create_file ?page_size ?pool_frames path in
-  iter_codes t (fun i codes ->
-      let c = codes.(col) in
-      if c >= 0 then
-        Btree.insert bt (Int64.of_int c) (Int64.of_int (Vec.get t.rids i)));
-  Btree.sync bt;
-  bt
 
 let sync t = Heap.sync t.heap
 let close t = Heap.close t.heap

@@ -50,10 +50,6 @@ val distinct_values : t -> int
 val value_of_code : t -> int -> Jqi_relational.Value.t
 val get_row : t -> int -> Jqi_relational.Tuple.t
 
-(** Fetch a row by heap record id — the pointer {!index_column}'s
-    B-tree stores as its value. *)
-val row_of_rid : t -> int -> Jqi_relational.Tuple.t
-
 val iter_rows : t -> (int -> Jqi_relational.Tuple.t -> unit) -> unit
 (** Stream rows in order; one heap scan, one page pin per record. *)
 
@@ -64,9 +60,9 @@ val apply_delta :
     the row-id table, then append [adds] at the tail and sync.  Row
     indexes re-pack: survivors keep their relative order, adds follow —
     the exact sequence a reopen scan rebuilds.  ['D'] records are never
-    deleted (store codes are minted forever).  Rids handed out earlier
-    (e.g. inside an {!index_column} B-tree) dangle for removed rows;
-    {!Btree.remove} is the index-side counterpart. *)
+    deleted (store codes are minted forever).  The row-id table is the
+    store's only record of heap rids: a removed row's rid leaves it, and
+    {!Heap.delete} may later reissue that slot to an append. *)
 
 val delete_row : t -> int -> unit
 (** {!apply_delta} with a single removed row index. *)
@@ -78,12 +74,6 @@ val relation : t -> Jqi_relational.Relation.t
     [Relation.apply_delta], which mutates this store in place and
     invalidates earlier wrappings (their snapshotted row counts go
     stale). *)
-
-val index_column :
-  ?page_size:int -> ?pool_frames:int -> path:string -> t -> int -> Btree.t
-(** Build a disk-backed B-tree over one column: key = the column's
-    store code, value = the row's rid. NULL/NaN cells (which join
-    nothing) are skipped. Raises [Invalid_argument] on a bad column. *)
 
 val sync : t -> unit
 val close : t -> unit

@@ -8,7 +8,7 @@
    tests for the delta plumbing (resolution, Mem/Paged application,
    dictionary interning, incremental fingerprints) and the storage
    primitives that make deletion real (heap tombstones + frontier
-   reclamation, B-tree key removal, relstore churn + reopen). *)
+   reclamation, rid validation, relstore churn + reopen). *)
 
 module Value = Jqi_relational.Value
 module Schema = Jqi_relational.Schema
@@ -18,7 +18,6 @@ module Delta = Jqi_relational.Delta
 module Dict = Jqi_relational.Dict
 module Universe = Jqi_core.Universe
 module Heap = Jqi_storage.Heap
-module Btree = Jqi_storage.Btree
 module Relstore = Jqi_storage.Relstore
 module Buffer_pool = Jqi_storage.Buffer_pool
 
@@ -200,31 +199,31 @@ let test_heap_frontier_reclaim () =
   Alcotest.(check int) "one live record" 1 (Heap.record_count h);
   Heap.close h
 
-(* --------------------------- btree churn -------------------------- *)
-
-let test_btree_remove () =
-  let path = tmp_path ".jqb" in
-  let bt = Btree.create_file ~page_size:512 ~pool_frames:8 path in
-  for i = 0 to 199 do
-    Btree.insert bt (Int64.of_int (i mod 10)) (Int64.of_int i)
-  done;
-  Alcotest.(check int) "count" 200 (Btree.count bt);
-  Alcotest.(check bool) "remove hits" true (Btree.remove bt 3L 13L);
-  Alcotest.(check bool) "second remove of same entry misses" false
-    (Btree.remove bt 3L 13L);
-  Alcotest.(check bool) "missing key misses" false (Btree.remove bt 42L 0L);
-  Alcotest.(check int) "count decremented" 199 (Btree.count bt);
-  let vals = Btree.find_all bt 3L in
-  Alcotest.(check int) "one value gone" 19 (List.length vals);
-  Alcotest.(check bool) "13 gone, order kept" true
-    (not (List.mem 13L vals) && List.mem 3L vals && List.mem 193L vals);
-  (* drain a whole key; lookups and scans tolerate the underflow *)
-  List.iter (fun v -> ignore (Btree.remove bt 7L v)) (Btree.find_all bt 7L);
-  Alcotest.(check (list int64)) "drained key" [] (Btree.find_all bt 7L);
-  let scanned = ref 0 in
-  Btree.iter bt (fun _ _ -> incr scanned);
-  Alcotest.(check int) "scan agrees with count" (Btree.count bt) !scanned;
-  Btree.close bt
+(* A rid is only good on a data page and within its slot array; one
+   that names the meta or directory page, or a slot past the last, is a
+   caller error for both [get] and [delete], and leaves the heap as it
+   was. *)
+let test_heap_rejects_foreign_rids () =
+  let path = tmp_path ".jqh" in
+  let h = Heap.create_file ~page_size:512 ~pool_frames:4 path in
+  let rid = Heap.append h "only" in
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | () -> false
+  in
+  List.iter
+    (fun (what, r) ->
+      Alcotest.(check bool) ("get: " ^ what) true
+        (raises (fun () -> ignore (Heap.get h r)));
+      Alcotest.(check bool) ("delete: " ^ what) true
+        (raises (fun () -> Heap.delete h r)))
+    [
+      ("meta-page rid", 0);
+      ("directory-page rid", 1 lsl 16);
+      ("slot out of range", rid + 1);
+    ];
+  Alcotest.(check string) "record intact" "only" (Heap.get h rid);
+  Alcotest.(check int) "live count" 1 (Heap.record_count h);
+  Heap.close h
 
 (* -------------------------- relstore churn ------------------------ *)
 
@@ -489,7 +488,8 @@ let suite =
     Alcotest.test_case "heap delete + reopen" `Quick test_heap_delete;
     Alcotest.test_case "heap frontier reclamation" `Quick
       test_heap_frontier_reclaim;
-    Alcotest.test_case "btree remove" `Quick test_btree_remove;
+    Alcotest.test_case "heap get/delete reject rids outside data pages" `Quick
+      test_heap_rejects_foreign_rids;
     Alcotest.test_case "relstore churn + reopen" `Quick
       test_relstore_churn_reopen;
     Alcotest.test_case "apply_delta on Paged" `Quick

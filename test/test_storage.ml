@@ -7,9 +7,8 @@
    differentials: heap-file round-trips (including reopen-from-disk),
    buffer-pool invariants under a random pin/unpin/allocate hammer
    (pinned frames survive eviction pressure; exhaustion raises rather
-   than corrupts), and the disk B-tree against a sorted association
-   model (duplicates preserved in insertion order across splits and
-   reopens). *)
+   than corrupts), and the on-disk page-kind bytes heap files rely
+   on. *)
 
 module Bits = Jqi_util.Bits
 module Value = Jqi_relational.Value
@@ -22,7 +21,6 @@ module Page = Jqi_storage.Page
 module Pager = Jqi_storage.Pager
 module Buffer_pool = Jqi_storage.Buffer_pool
 module Heap = Jqi_storage.Heap
-module Btree = Jqi_storage.Btree
 module Relstore = Jqi_storage.Relstore
 
 let tmp_path suffix =
@@ -38,16 +36,30 @@ let test_page_codec () =
   Page.set_u8 buf 100 0xAB;
   Page.set_u16 buf 101 0xBEEF;
   Page.set_u32 buf 103 0xDEADBEEF;
-  Page.set_i64 buf 107 (-12345678901234L);
-  Page.set_string buf ~off:115 "hello";
+  Page.set_string buf ~off:107 "hello";
   Alcotest.(check int) "u8" 0xAB (Page.get_u8 buf 100);
   Alcotest.(check int) "u16" 0xBEEF (Page.get_u16 buf 101);
   Alcotest.(check int) "u32" 0xDEADBEEF (Page.get_u32 buf 103);
-  Alcotest.(check int64) "i64" (-12345678901234L) (Page.get_i64 buf 107);
   Alcotest.(check string) "string" "hello"
-    (Page.get_string buf ~off:115 ~len:5);
-  Page.set_kind buf Page.Btree_leaf;
-  Alcotest.(check bool) "rekind" true (Page.has_kind buf Page.Btree_leaf)
+    (Page.get_string buf ~off:107 ~len:5);
+  Page.set_kind buf Page.Heap_dir;
+  Alcotest.(check bool) "rekind" true (Page.has_kind buf Page.Heap_dir)
+
+(* Heap files written by earlier builds must reopen unchanged, so the
+   kind tags are a fixed on-disk format; unknown tags decode to None. *)
+let test_page_kind_bytes () =
+  List.iter
+    (fun (kind, byte) ->
+      let name = Format.asprintf "%a" Page.pp_kind kind in
+      Alcotest.(check int) (name ^ " byte") byte (Page.kind_to_byte kind);
+      Alcotest.(check bool) (name ^ " decodes") true
+        (Page.kind_of_byte byte = Some kind))
+    [ (Page.Free, 0); (Page.Meta, 1); (Page.Heap_dir, 2); (Page.Heap_data, 3) ];
+  List.iter
+    (fun byte ->
+      Alcotest.(check bool) (Printf.sprintf "byte %d is unknown" byte) true
+        (Page.kind_of_byte byte = None))
+    [ 4; 5; 255 ]
 
 let test_pager_rejects_foreign () =
   let path = tmp_path ".bin" in
@@ -125,6 +137,26 @@ let test_heap_oversized_record () =
   Alcotest.(check int) "max-size record survives" (Heap.max_record h)
     (String.length (Heap.get h rid));
   Heap.close h
+
+(* A reopen walks the directory chain from the meta page; a chain link
+   that lands on a page of another kind is a corrupt file, not a crash. *)
+let test_heap_reopen_rejects_non_dir () =
+  let path = tmp_path ".jqh" in
+  let h = Heap.create_file ~page_size:512 path in
+  ignore (Heap.append h "row");
+  (* Page 1 is the first directory page: [Heap.create] allocates it
+     right after the meta page. *)
+  Buffer_pool.with_page_rw (Heap.pool h) 1 (fun buf ->
+      Alcotest.(check bool) "page 1 is the directory" true
+        (Page.has_kind buf Page.Heap_dir);
+      Page.set_kind buf Page.Heap_data);
+  Heap.close h;
+  Alcotest.(check bool) "reopen raises Bad_file" true
+    (match Heap.open_file path with
+    | exception Pager.Bad_file _ -> true
+    | h2 ->
+        Heap.close h2;
+        false)
 
 (* --------------------------- buffer pool -------------------------- *)
 
@@ -416,97 +448,6 @@ let test_backend_of_string () =
   Alcotest.(check bool) "junk" true
     (Relstore.backend_of_string ~frames "zork" = None)
 
-(* ------------------------------ b-tree ---------------------------- *)
-
-(* Model: association list of (key, value) in insertion order.  Small
-   key range + hundreds of inserts forces duplicate runs across leaf
-   splits; page_size 512 forces multi-level trees. *)
-let qcheck_btree_model =
-  QCheck.Test.make ~name:"btree: find_all/iter match sorted model (reopen)"
-    ~count:40
-    QCheck.(
-      make
-        Gen.(list_size (int_range 0 400) (pair (int_bound 30) (int_bound 1000))))
-    (fun pairs ->
-      let path = tmp_path ".jqb" in
-      let bt = Btree.create_file ~page_size:512 ~pool_frames:4 path in
-      List.iteri
-        (fun i (k, v) ->
-          ignore i;
-          Btree.insert bt (Int64.of_int k) (Int64.of_int v))
-        pairs;
-      let model_find k =
-        List.filter_map
-          (fun (k', v) -> if k' = k then Some (Int64.of_int v) else None)
-          pairs
-      in
-      let ok_find =
-        List.for_all
-          (fun k -> Btree.find_all bt (Int64.of_int k) = model_find k)
-          (List.init 32 Fun.id)
-      in
-      (* Full scan: sorted by key, insertion order within a key. *)
-      let model_scan =
-        List.stable_sort
-          (fun (k1, _) (k2, _) -> compare k1 k2)
-          pairs
-        |> List.map (fun (k, v) -> (Int64.of_int k, Int64.of_int v))
-      in
-      let scanned = ref [] in
-      Btree.iter bt (fun k v -> scanned := (k, v) :: !scanned);
-      let ok_scan = List.rev !scanned = model_scan in
-      let ok_count = Btree.count bt = List.length pairs in
-      Btree.close bt;
-      let bt2 = Btree.open_file ~pool_frames:4 path in
-      let ok_reopen =
-        Btree.count bt2 = List.length pairs
-        && List.for_all
-             (fun k -> Btree.find_all bt2 (Int64.of_int k) = model_find k)
-             (List.init 32 Fun.id)
-      in
-      Btree.close bt2;
-      ok_find && ok_scan && ok_count && ok_reopen)
-
-let test_btree_iter_from () =
-  let path = tmp_path ".jqb" in
-  let bt = Btree.create_file ~page_size:512 path in
-  List.iter
-    (fun k -> Btree.insert bt (Int64.of_int k) (Int64.of_int (k * 10)))
-    [ 5; 1; 9; 3; 7; 3 ];
-  let from3 = ref [] in
-  Btree.iter_from bt 4L (fun k v -> from3 := (k, v) :: !from3);
-  Alcotest.(check (list (pair int64 int64)))
-    "iter_from skips below the key"
-    [ (5L, 50L); (7L, 70L); (9L, 90L) ]
-    (List.rev !from3);
-  Btree.close bt
-
-(* ----------------------- index over a store ----------------------- *)
-
-let test_index_column_probes () =
-  let rel =
-    relation_of "r" "a"
-      (List.map Tuple.ints
-         [ [ 1; 10 ]; [ 2; 20 ]; [ 1; 30 ]; [ 3; 40 ]; [ 1; 50 ] ])
-  in
-  let store, _ = paged_copy rel in
-  let bt =
-    Relstore.index_column ~page_size:512 ~pool_frames:4
-      ~path:(tmp_path ".jqb") store 0
-  in
-  (* Every rid under a code decodes to a row holding that code's value;
-     multiplicities survive. *)
-  let hits = ref 0 in
-  Btree.iter bt (fun code rid ->
-      incr hits;
-      let row = Relstore.row_of_rid store (Int64.to_int rid) in
-      Alcotest.(check bool) "indexed value matches row" true
-        (Value.eq (Tuple.get row 0)
-           (Relstore.value_of_code store (Int64.to_int code))));
-  Alcotest.(check int) "all rows indexed" 5 !hits;
-  Btree.close bt;
-  Relstore.close store
-
 let suite =
   [
     Alcotest.test_case "page codec round-trips" `Quick test_page_codec;
@@ -524,9 +465,10 @@ let suite =
     Alcotest.test_case "csv error parity (ragged/empty)" `Quick
       test_load_into_errors_match;
     Alcotest.test_case "backend_of_string" `Quick test_backend_of_string;
-    Alcotest.test_case "btree iter_from" `Quick test_btree_iter_from;
-    Alcotest.test_case "index_column probes decode" `Quick
-      test_index_column_probes;
+    Alcotest.test_case "page kinds keep their on-disk bytes" `Quick
+      test_page_kind_bytes;
+    Alcotest.test_case "heap reopen rejects a non-directory page" `Quick
+      test_heap_reopen_rejects_non_dir;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -536,5 +478,4 @@ let suite =
         qcheck_universe_backends_agree;
         qcheck_kary_backends_agree;
         qcheck_load_into_matches_load_relation;
-        qcheck_btree_model;
       ]

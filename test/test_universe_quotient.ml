@@ -365,9 +365,10 @@ let test_of_codes_matches_of_tuples () =
   let omega = Omega.create ~n:3 ~m:2 () in
   let cr = Dict.encode_row d tr and cp = Dict.encode_row d tp in
   Alcotest.(check bool) "of_codes = of_tuples" true
-    (Bits.equal (Tsig.of_tuples omega tr tp) (Tsig.of_codes omega cr cp));
+    (Bits.equal (Tsig.of_tuples omega tr tp)
+       (Tsig.of_kcodes omega [| cr; cp |]));
   Alcotest.(check bool) "arity mismatch raises" true
-    (try ignore (Tsig.of_codes omega cr [| 0 |]); false
+    (try ignore (Tsig.of_kcodes omega [| cr; [| 0 |] |]); false
      with Invalid_argument _ -> true)
 
 let suite =
