@@ -68,6 +68,7 @@ let universe_builder_of ~seed spec =
    for CI artifacts. *)
 let run_lookahead_bench ~seed =
   let module Json = Jqi_util.Json in
+  let timing_runs = 5 in
   Printf.printf
     "\n--- Lookahead acceleration: fast vs reference engine (scale=1) ---\n";
   let db = Tpch.generate ~seed ~scale:1 () in
@@ -85,8 +86,26 @@ let run_lookahead_bench ~seed =
               Jqi_core.Inference.run universe strategy
                 (Jqi_core.Oracle.honest ~goal)
             in
-            let fast = run (Strategy.lks k) in
-            let reference = run (Strategy.lks_reference k) in
+            (* One run per engine spreads by about 1.5x on a shared host,
+               so each engine runs [timing_runs] times, alternating which
+               goes first, and the fastest run of each is kept. *)
+            let run_fast () = run (Strategy.lks k)
+            and run_reference () = run (Strategy.lks_reference k) in
+            let fast = ref (run_fast ()) and reference = ref (run_reference ()) in
+            let keep best (r : Jqi_core.Inference.result) =
+              if r.elapsed < !best.Jqi_core.Inference.elapsed then best := r
+            in
+            for n = 2 to timing_runs do
+              if n mod 2 = 0 then begin
+                keep reference (run_reference ());
+                keep fast (run_fast ())
+              end
+              else begin
+                keep fast (run_fast ());
+                keep reference (run_reference ())
+              end
+            done;
+            let fast = !fast and reference = !reference in
             (* One extra instrumented run per entry: the oracle-interaction
                and engine counters that go with the timings. *)
             let metrics =
@@ -134,6 +153,7 @@ let run_lookahead_bench ~seed =
                 ("fast_ms_per_choice", Json.Num (per_choice fast *. 1e3));
                 ("reference_ms_per_choice", Json.Num (per_choice reference *. 1e3));
                 ("speedup", Json.Num speedup);
+                ("timing_runs", Json.int timing_runs);
                 ("interactions_fast", Json.int fast.n_interactions);
                 ("interactions_reference", Json.int reference.n_interactions);
                 ("traces_match", Json.Bool traces_match);
@@ -834,23 +854,35 @@ let run_storage ~full ~seed =
     (if identical then "identical" else "DIVERGED")
     (mem_build_s *. 1e3) (paged_build_s *. 1e3) hit_rate;
   (* Random point reads: rid-addressed row fetches through the pool,
-     far exceeding the budget so faults are real. *)
+     far exceeding the budget so faults are real.  One run spreads by
+     about ±15%, so [point_reads_per_s] is the best (max) of
+     [read_runs] runs, with the min beside it; the fault rate covers
+     every run. *)
   let prng = Prng.create (seed + 1) in
   let n_reads = if full then 50_000 else 20_000 in
+  let read_runs = 5 in
   let n_rows = Relstore.row_count store_r in
   Buffer_pool.reset_stats (Relstore.pool store_r);
-  let (), read_s =
-    Jqi_util.Timer.time (fun () ->
-        for _ = 1 to n_reads do
-          ignore (Relstore.get_row store_r (Prng.int prng n_rows))
-        done)
+  let run_rates =
+    List.init read_runs (fun _ ->
+        let (), read_s =
+          Jqi_util.Timer.time (fun () ->
+              for _ = 1 to n_reads do
+                ignore (Relstore.get_row store_r (Prng.int prng n_rows))
+              done)
+        in
+        float n_reads /. read_s)
   in
   let read_stats = Buffer_pool.stats (Relstore.pool store_r) in
-  let reads_per_s = float n_reads /. read_s in
-  let fault_rate = float read_stats.Buffer_pool.misses /. float n_reads in
+  let reads_min = List.fold_left Float.min Float.infinity run_rates in
+  let reads_per_s = List.fold_left Float.max 0. run_rates in
+  let fault_rate =
+    float read_stats.Buffer_pool.misses /. float (read_runs * n_reads)
+  in
   Printf.printf
-    "  point reads: %.0f rows/s (%d random reads, fault rate %.3f)\n"
-    reads_per_s n_reads fault_rate;
+    "  point reads: %.0f rows/s best of %d runs (min %.0f; %d random reads \
+     each, fault rate %.3f)\n"
+    reads_per_s read_runs reads_min n_reads fault_rate;
   let pinned_leaked =
     Buffer_pool.pinned (Relstore.pool store_r)
     + Buffer_pool.pinned (Relstore.pool store_p)
@@ -881,6 +913,8 @@ let run_storage ~full ~seed =
          ("identical", Json.Bool identical);
          ("hit_rate", Json.Num hit_rate);
          ("point_reads_per_s", Json.Num reads_per_s);
+         ("point_read_runs", Json.int read_runs);
+         ("point_reads_per_s_min", Json.Num reads_min);
          ("point_read_fault_rate", Json.Num fault_rate);
          ("pinned_leaked", Json.int pinned_leaked);
        ]);

@@ -53,10 +53,13 @@ let label_of t i = t.labels.(i)
 (* Lemma 3.3: t ∈ Cert+(S) iff T(S+) ⊆ T(t). *)
 let certain_pos_sig ~tpos s = Bits.subset tpos s
 
-(* Lemma 3.4: t ∈ Cert−(S) iff ∃ t' ∈ S−. T(S+) ∩ T(t) ⊆ T(t'). *)
-let certain_neg_sig ~tpos ~negs s =
-  let restricted = Bits.inter tpos s in
-  List.exists (fun neg -> Bits.subset restricted neg) negs
+(* Lemma 3.4: t ∈ Cert−(S) iff ∃ t' ∈ S−. T(S+) ∩ T(t) ⊆ T(t').  The
+   fused test allocates nothing: it runs once per class in every
+   informative-class scan and positive view extension. *)
+let rec certain_neg_sig ~tpos ~negs s =
+  match negs with
+  | [] -> false
+  | neg :: negs -> Bits.inter_subset tpos s neg || certain_neg_sig ~tpos ~negs s
 
 let certain_label_sig ~tpos ~negs s =
   if certain_pos_sig ~tpos s then Some Sample.Positive

@@ -345,6 +345,125 @@ let test_l2s_full_runs_example21 () =
            (trace Strategy.l2s universe0 goal)))
     [ pred0 []; pred0 [ (0, 2) ]; pred0 [ (0, 0); (1, 2) ]; Omega.full omega0 ]
 
+(* ------------------------------------------------------------------ *)
+(* Wide-Ω differentials: multi-word signatures and projections.        *)
+(* ------------------------------------------------------------------ *)
+
+(* The scenarios above cap Ω at 3×3 bits, so they never reach a
+   multi-word [Bits], a position ≥ 63, or a round whose live positions P
+   (T(S+) ∩ the union of informative signatures) need more than one word
+   per projected row.  These draw Ω from 8×8 to 12×12 with sparse
+   signatures: a few positions of their own plus up to two shared random
+   "atoms", so subset relations between classes still occur. *)
+type wide_scenario = {
+  wn : int;
+  wm : int;
+  wsigs : (int list * int) list; (* (signature positions, multiplicity) *)
+  wlabels : (int * bool) list;
+  wgoal : int list;
+}
+
+let gen_wide_scenario =
+  QCheck.Gen.(
+    let* wn = int_range 8 12 and* wm = int_range 8 12 in
+    let w = wn * wm in
+    let position = int_bound (w - 1) in
+    let* atoms = list_size (int_range 4 8) (list_size (int_range 3 8) position) in
+    let atoms = Array.of_list atoms in
+    let atom = map (Array.get atoms) (int_bound (Array.length atoms - 1)) in
+    let union_of n = map List.concat (list_size n atom) in
+    let signature =
+      map2 ( @ ) (list_size (int_range 2 20) position) (union_of (int_range 0 2))
+    in
+    let* wsigs = list_size (int_range 2 12) (pair signature (int_range 1 4)) in
+    let* wlabels = list_size (int_bound 3) (pair (int_bound 64) bool) in
+    let* wgoal = union_of (int_bound 2) in
+    return { wn; wm; wsigs; wlabels; wgoal })
+
+let print_wide_scenario sc =
+  let positions l = String.concat "," (List.map string_of_int (List.sort_uniq compare l)) in
+  Printf.sprintf "n=%d m=%d sigs=[%s] labels=[%s] goal={%s}" sc.wn sc.wm
+    (String.concat ";"
+       (List.map (fun (s, c) -> Printf.sprintf "{%s}*%d" (positions s) c) sc.wsigs))
+    (String.concat ";"
+       (List.map (fun (i, b) -> Printf.sprintf "%d%c" i (if b then '+' else '-')) sc.wlabels))
+    (positions sc.wgoal)
+
+let arb_wide_scenario = QCheck.make gen_wide_scenario ~print:print_wide_scenario
+
+let wide_universe sc =
+  let omega = Omega.create ~n:sc.wn ~m:sc.wm () in
+  let w = Omega.width omega in
+  ( omega,
+    Universe.of_signature_list omega
+      (List.map (fun (s, count) -> (Bits.of_list w s, count, [| 0; 0 |])) sc.wsigs) )
+
+let wide_state u sc =
+  state_of_scenario u { n = sc.wn; m = sc.wm; sigs = []; labels = sc.wlabels; goal = 0 }
+
+(* |P| of the round [st] is in: the live positions the lookahead scan
+   projects onto. *)
+let live_positions st =
+  let u = State.universe st in
+  let tpos = State.tpos st in
+  let live =
+    List.fold_left
+      (fun acc i -> Bits.union acc (Universe.signature u i))
+      (Bits.empty (Bits.width tpos))
+      (State.informative_classes st)
+  in
+  Bits.cardinal (Bits.inter tpos live)
+
+(* Rounds drawn whose projected rows take one word / several words. *)
+type draws = { mutable single_word : int; mutable multi_word : int }
+
+let count_draw draws st =
+  if live_positions st > Bits.bits_per_word then draws.multi_word <- draws.multi_word + 1
+  else draws.single_word <- draws.single_word + 1
+
+let wide_entropy_matches_reference draws =
+  QCheck.Test.make ~name:"wide Ω: fast entropy_k = reference_k (k=1,2)" ~count:200
+    arb_wide_scenario (fun sc ->
+      let _, u = wide_universe sc in
+      let st = wide_state u sc in
+      count_draw draws st;
+      let is = State.informative_classes st in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun i -> Entropy.equal (Entropy.entropy_k st k i) (Entropy.reference_k st k i))
+            is
+          && List.for_all
+               (fun (i, e) ->
+                 match e with
+                 | None -> true
+                 | Some e -> Entropy.equal e (Entropy.reference_k st k i))
+               (Entropy.score st ~k))
+        [ 1; 2 ])
+
+let wide_strategy_choices_match_reference draws =
+  QCheck.Test.make ~name:"wide Ω: fast LkS runs = reference LkS runs (k=1,2)"
+    ~count:100 arb_wide_scenario (fun sc ->
+      let omega, u = wide_universe sc in
+      count_draw draws (State.create u);
+      let goal = Bits.of_list (Omega.width omega) sc.wgoal in
+      List.for_all
+        (fun k -> trace (Strategy.lks k) u goal = trace (Strategy.lks_reference k) u goal)
+        [ 1; 2 ])
+
+(* Run a wide property (on QCheck's fixed default seed), then require
+   that it drew rounds of both row widths, so both loops of the
+   last-level scan were compared against the reference. *)
+let check_wide_draws make_test () =
+  let draws = { single_word = 0; multi_word = 0 } in
+  QCheck.Test.check_exn (make_test draws);
+  Alcotest.(check bool)
+    (Printf.sprintf "single-word rounds drawn (%d)" draws.single_word)
+    true (draws.single_word > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "multi-word rounds drawn (%d)" draws.multi_word)
+    true (draws.multi_word > 0)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -370,4 +489,9 @@ let suite =
       Alcotest.test_case "§4.4 L2S choices" `Quick test_walkthrough_l2s_choices;
       Alcotest.test_case "L2S full runs on Example 2.1" `Quick
         test_l2s_full_runs_example21;
+      Alcotest.test_case "wide Ω: fast entropy_k = reference_k (k=1,2)" `Quick
+        (check_wide_draws wide_entropy_matches_reference);
+      Alcotest.test_case "wide Ω: fast LkS runs = reference LkS runs (k=1,2)"
+        `Quick
+        (check_wide_draws wide_strategy_choices_match_reference);
     ]

@@ -202,6 +202,36 @@ let test_pp_smoke () =
   Alcotest.(check bool) "relation pp" true
     (String.length (Fmt.str "%a" Jqi_relational.Relation.pp Fixtures.r0) > 0)
 
+(* The fused Lemma 3.4 test equals its allocating form
+   (T(S+) ∩ T(t) ⊆ some T(t')) at multi-word widths.  Half of the
+   negatives contain T(t) plus noise, so both outcomes are drawn. *)
+let certain_neg_sig_matches_allocating =
+  let gen =
+    QCheck.Gen.(
+      let* w = int_range 64 200 in
+      let set n = map (Bits.of_list w) (list_size n (int_bound (w - 1))) in
+      let* tpos = map Bits.complement (set (int_bound 40)) in
+      let* s = set (int_range 1 30) in
+      let neg =
+        let* noise = set (int_bound 30) in
+        let* dropped = set (int_bound 2) in
+        let* near = bool in
+        if near then return (Bits.diff (Bits.union s noise) dropped) else return noise
+      in
+      let* negs = list_size (int_bound 5) neg in
+      return (tpos, negs, s))
+  in
+  let print (tpos, negs, s) =
+    Printf.sprintf "w=%d tpos=%s negs=[%s] s=%s" (Bits.width s) (Bits.to_string tpos)
+      (String.concat ";" (List.map Bits.to_string negs))
+      (Bits.to_string s)
+  in
+  QCheck.Test.make ~name:"certain_neg_sig = allocating Lemma 3.4 test (wide)"
+    ~count:500 (QCheck.make gen ~print) (fun (tpos, negs, s) ->
+      let restricted = Bits.inter tpos s in
+      State.certain_neg_sig ~tpos ~negs s
+      = List.exists (fun neg -> Bits.subset restricted neg) negs)
+
 let suite =
   [
     Alcotest.test_case "example 3.1 consistent sample" `Quick test_example_3_1_consistent;
@@ -214,4 +244,5 @@ let suite =
     Alcotest.test_case "lemma 3.2 Uninf = Cert" `Quick test_uninf_equals_cert;
     Alcotest.test_case "uninformative count (4.4 walk-through)" `Quick test_uninf_count;
     Alcotest.test_case "extend_virtual is pure" `Quick test_extend_virtual_does_not_mutate;
+    QCheck_alcotest.to_alcotest certain_neg_sig_matches_allocating;
   ]
