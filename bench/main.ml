@@ -121,8 +121,9 @@ let run_lookahead_bench ~seed =
                    [
                      "oracle.questions"; "oracle.answers_positive";
                      "oracle.answers_negative"; "lookahead.branch_cache_hit";
-                     "lookahead.branch_cache_miss"; "lookahead.candidates_scored";
-                     "lookahead.candidates_pruned"; "state.certainty_scans";
+                     "lookahead.branch_cache_miss"; "lookahead.branch_scans";
+                     "lookahead.candidates_scored"; "lookahead.candidates_pruned";
+                     "lookahead.candidates_bounded"; "state.certainty_scans";
                    ])
             in
             let per_choice (r : Jqi_core.Inference.result) =
@@ -1182,6 +1183,7 @@ let run_obs ~full ~seed =
                 [
                   "oracle.questions"; "strategy.choices";
                   "lookahead.candidates_scored"; "lookahead.candidates_pruned";
+                  "lookahead.candidates_bounded";
                   "lookahead.branch_cache_hit"; "lookahead.branch_cache_miss";
                   "state.certainty_scans"; "state.labels";
                 ]) );

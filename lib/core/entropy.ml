@@ -29,6 +29,7 @@ let c_branch_scans = Obs.Counter.make "lookahead.branch_scans"
 let c_leaf_evals = Obs.Counter.make "lookahead.leaf_evals"
 let c_scored = Obs.Counter.make "lookahead.candidates_scored"
 let c_pruned = Obs.Counter.make "lookahead.candidates_pruned"
+let c_bounded = Obs.Counter.make "lookahead.candidates_bounded"
 
 type t = { lo : int; hi : int }
 
@@ -145,7 +146,7 @@ let reference1 state cls = reference_k state 1 cls
 
 (* ------------------------------------------------------------------ *)
 (* Fast engine.  Exact same semantics as [reference_k], restructured    *)
-(* around four ideas:                                                   *)
+(* around five ideas:                                                   *)
 (*                                                                      *)
 (* 1. Incremental certainty ([State.view]): branches extend the parent  *)
 (*    view by one label instead of re-deriving (tpos, negs) from the    *)
@@ -165,6 +166,8 @@ let reference1 state cls = reference_k state 1 cls
 (*    min — the first branch is then the exact result.                  *)
 (* 4. Projected last level: the leaves are scored on flat words over    *)
 (*    the round's live Ω positions only ([projection], [branch_best]).  *)
+(* 5. Candidate bounds at k = 2 ([bounds]): an upper bound on each      *)
+(*    candidate's min orders the round and skips hopeless candidates.   *)
 (*                                                                      *)
 (* [score] adds the selection-level pruning of Algorithm 4 on top and   *)
 (* is what the L1S/L2S/LkS strategies call once per round.              *)
@@ -198,35 +201,49 @@ module BTbl = Hashtbl.Make (State.Key)
    proj X ⊆ proj Y.  So negative signatures may be projected too: their
    bits outside P never decide a test. *)
 type projection = {
-  p_pos : int array;  (* P, increasing *)
+  p_word : int array; (* position k of P: the Ω word it lies in ... *)
+  p_mask : int array; (* ... and its bit there; P in increasing order *)
   p_w : int;          (* words per row: [Bits.word_count |P|] *)
   p_ids : int array;  (* root vinf, ascending *)
   p_rows : int array; (* row r: T(p_ids.(r)) projected, stride p_w *)
 }
 
-(* OR the projection of [s] onto [pos] into [dst] at word offset [off]. *)
-let project_into pos s dst off =
-  for k = 0 to Array.length pos - 1 do
-    if Bits.mem s pos.(k) then begin
+(* OR the projection of [s] onto P into [dst] at word offset [off]. *)
+let project_into pr s dst off =
+  for k = 0 to Array.length pr.p_word - 1 do
+    if Bits.word s pr.p_word.(k) land pr.p_mask.(k) <> 0 then begin
       let o = off + (k / Bits.bits_per_word) in
       dst.(o) <- dst.(o) lor (1 lsl (k mod Bits.bits_per_word))
     end
   done
 
+(* P is read off word by word: the OR of the root signatures' word j,
+   masked by T(S+)'s, holds the positions of P in that word. *)
 let projection state (root : State.view) =
   let u = State.universe state in
   let ids = Array.of_list root.State.vinf in
-  let live =
-    Array.fold_left
-      (fun acc i -> Bits.union acc (Universe.signature u i))
-      (Bits.empty (Bits.width root.State.vtpos))
-      ids
-  in
-  let pos = Array.of_list (Bits.elements (Bits.inter root.State.vtpos live)) in
-  let w = Bits.word_count (Array.length pos) in
+  let tpos = root.State.vtpos in
+  let words = ref [] and masks = ref [] in
+  for j = 0 to Bits.word_count (Bits.width tpos) - 1 do
+    let live =
+      Array.fold_left (fun acc i -> acc lor Bits.word (Universe.signature u i) j) 0 ids
+      land Bits.word tpos j
+    in
+    let rest = ref live in
+    while !rest <> 0 do
+      let low = !rest land - !rest in
+      words := j :: !words;
+      masks := low :: !masks;
+      rest := !rest lxor low
+    done
+  done;
+  let p_word = Array.of_list (List.rev !words) in
+  let p_mask = Array.of_list (List.rev !masks) in
+  let w = Bits.word_count (Array.length p_word) in
   let rows = Array.make (Array.length ids * w) 0 in
-  Array.iteri (fun r i -> project_into pos (Universe.signature u i) rows (r * w)) ids;
-  { p_pos = pos; p_w = w; p_ids = ids; p_rows = rows }
+  let pr = { p_word; p_mask; p_w = w; p_ids = ids; p_rows = rows } in
+  Array.iteri (fun r i -> project_into pr (Universe.signature u i) rows (r * w)) ids;
+  pr
 
 type evaluator = {
   ev_state : State.t;
@@ -238,8 +255,7 @@ type evaluator = {
   ev_proj : projection Lazy.t; (* forced by the first [branch_best] *)
 }
 
-let evaluator state k =
-  let root = State.view state in
+let evaluator state root k =
   {
     ev_state = state;
     ev_k = k;
@@ -303,19 +319,21 @@ let rec rows_captured a ao bo negs w m =
    (every TPC-H pair); wider rows take the word-loop helpers above.  The
    one-word loops stay because they measurably win: with only the word
    loops, label-warm wirebench answered 1.5x fewer requests per CPU second
-   (EXPERIMENTS.md, "Lookahead acceleration").  The scan stops at (∞,∞) (nothing beats it — the stop is exact) or once the
-   running best's min reaches [cut] (a lower bound the caller only uses
-   to discard the branch). *)
+   (EXPERIMENTS.md, "Lookahead acceleration").
+
+   The scan stops at (∞,∞), since nothing beats it and the stop is exact.
+   It also stops once the running best's min reaches [cut]; the result is
+   then a lower bound that the caller only uses to discard the branch. *)
 let branch_best ev ~view ~cut =
   Obs.Counter.incr c_branch_scans;
   let u = State.universe ev.ev_state in
   let pr = Lazy.force ev.ev_proj in
   let w = pr.p_w in
   let tpos = Array.make w 0 in
-  project_into pr.p_pos view.State.vtpos tpos 0;
+  project_into pr view.State.vtpos tpos 0;
   let n_negs = List.length view.State.vnegs in
   let negs = Array.make (n_negs * w) 0 in
-  List.iteri (fun m s -> project_into pr.p_pos s negs (m * w)) view.State.vnegs;
+  List.iteri (fun m s -> project_into pr s negs (m * w)) view.State.vnegs;
   let n = List.length view.State.vinf in
   let restricted = Array.make (n * w) 0 in
   let counts = Array.make n 0 in
@@ -451,21 +469,98 @@ and branch ev ~view ~k (s, alpha) ~cut =
 (* Drop-in fast entropy^k of a single class (fresh memo per call; use
    [score] to share the memo across a whole candidate round). *)
 let entropy_k state k cls =
-  let ev = evaluator state k in
+  let ev = evaluator state (State.view state) k in
   eval ev ~view:ev.ev_root ~vkey:(State.view_key ev.ev_root) ~k cls
 
 let entropy1 state cls = entropy_k state 1 cls
 let entropy2 state cls = entropy_k state 2 cls
 
+(* Upper bounds on the entropy² min of the root candidates, aligned with
+   [p_ids] (k = 2 only).
+
+   In a branch view V a leaf j scores min(u+, u−) =
+   W0 − k − W(V) + min(g+, g−), where g± is the weight of the classes of
+   V that labeling j ± makes certain.  A class certain under both answers
+   has restricted(i) ⊑ restricted(j) (the negative capture), and also
+   restricted(j) ⊑ restricted(i) or restricted(i) inside an old negative.
+   The latter would make i certain-negative in V already, so the overlap
+   lies in E_j, the classes whose restricted row equals j's.  Hence
+   g+ + g− ≤ W(V) + W(E_j), and the leaf's min is at most
+   W0 − k − ⌈(W(V) − W(E_j)) / 2⌉.
+
+   A candidate's value is at most its negative branch's.  Labeling c
+   negative keeps T(S+), so the restricted rows of V_c⁻ are the root's
+   rows and its groups E_j lie inside the root's groups, each weighing at
+   most E0, the heaviest root group.  V_c⁻ keeps the classes with
+   r_i ⋢ r_c, so
+
+     UB(c) = W0 − k − ⌈max(0, W(V_c⁻) − E0) / 2⌉
+
+   (W(E_j) ≤ W(V) allows the clamp), or +∞ when V_c⁻ is empty and the
+   negative branch is worth (∞,∞).  One pass over pairs of root rows gives
+   W(V_c⁻) for every c and E0.  Rows of every width share one call-free
+   word loop: a separate plain-int copy for one-word rows did not
+   measurably win (EXPERIMENTS.md, "Lookahead acceleration"). *)
+let bounds ev =
+  let pr = Lazy.force ev.ev_proj in
+  let u = State.universe ev.ev_state in
+  let w = pr.p_w and rows = pr.p_rows in
+  let n = Array.length pr.p_ids in
+  let counts = Array.map (Universe.count u) pr.p_ids in
+  let kept = Array.make n 0 and e0 = ref 0 in
+  for c = 0 to n - 1 do
+    let survivors = ref 0 and group = ref 0 in
+    for i = 0 to n - 1 do
+      (* r_i ⋢ r_c, else whether r_i = r_c *)
+      let out = ref false and eq = ref true in
+      for b = 0 to w - 1 do
+        let ri = rows.((i * w) + b) and rc = rows.((c * w) + b) in
+        if ri land lnot rc <> 0 then out := true;
+        if ri <> rc then eq := false
+      done;
+      if !out then survivors := !survivors + counts.(i)
+      else if !eq then group := !group + counts.(i)
+    done;
+    kept.(c) <- !survivors;
+    e0 := max !e0 !group
+  done;
+  Array.map
+    (fun kept ->
+      if kept = 0 then max_int
+      else ev.ev_w0 - ev.ev_k - ((max 0 (kept - !e0) + 1) / 2))
+    kept
+
+let upper_bounds state =
+  let root = State.view state in
+  match root.State.vinf with
+  | [] -> []
+  | classes ->
+      List.combine classes (Array.to_list (bounds (evaluator state root 2)))
+
 (* Score one candidate at top level with Algorithm 4's selection-level
-   pruning: the chosen class maximizes the entropy min, so once a
-   candidate's first branch min drops strictly below the best min seen so
-   far its exact value cannot matter — it can neither win nor tie — and
-   the second branch is skipped ([None]).  Exact values update
-   [best_lo]. *)
-let score_candidate ev ~best_lo cls =
+   pruning: the chosen class maximizes the entropy min, so a candidate
+   whose min is provably below the best min seen so far can neither win
+   nor tie, and gets [None].  Three tests prove it, cheapest first:
+   - its bound [ub] is below [best_lo], so nothing is scanned;
+   - the first branch's min is below [best_lo], so the second is skipped;
+   - the exact value is below [best_lo].
+   Exact values update [best_lo].
+
+   A bound below W0 − k means the negative branch is narrow, and it
+   usually decides the worst case over the answer.  It is then scanned
+   first, and the positive branch stops as soon as its running min
+   exceeds the negative one: ties go to the positive branch, hence the
+   cut e_neg.lo + 1.  Such a bound is finite, so V_c⁻ is nonempty and
+   e_neg.lo + 1 cannot overflow. *)
+let worst e_pos e_neg = if e_pos.lo <= e_neg.lo then e_pos else e_neg
+
+let score_candidate ev ~best_lo ~ub cls =
   let e =
-    if ev.ev_k <= 1 then begin
+    if ub < !best_lo then begin
+      Obs.Counter.incr c_bounded;
+      None
+    end
+    else if ev.ev_k <= 1 then begin
       let s = sig_of ev cls in
       let vp = State.view_extend ev.ev_state ev.ev_root (s, Sample.Positive) in
       let u_pos = ev.ev_w0 - vp.State.vinf_tuples - 1 in
@@ -475,14 +570,20 @@ let score_candidate ev ~best_lo cls =
         Some (make u_pos (ev.ev_w0 - vn.State.vinf_tuples - 1))
     end
     else begin
-      let s = sig_of ev cls in
-      let e_pos = branch ev ~view:ev.ev_root ~k:ev.ev_k (s, Sample.Positive) ~cut:max_int in
-      if e_pos.lo < !best_lo then None
-      else begin
-        let e_neg = branch ev ~view:ev.ev_root ~k:ev.ev_k (s, Sample.Negative) ~cut:e_pos.lo in
-        let e = if e_pos.lo <= e_neg.lo then e_pos else e_neg in
-        if e.lo < !best_lo then None else Some e
-      end
+      let s = sig_of ev cls and view = ev.ev_root and k = ev.ev_k in
+      let e =
+        if ub < ev.ev_w0 - k then begin
+          let e_neg = branch ev ~view ~k (s, Sample.Negative) ~cut:max_int in
+          if e_neg.lo < !best_lo then e_neg
+          else worst (branch ev ~view ~k (s, Sample.Positive) ~cut:(e_neg.lo + 1)) e_neg
+        end
+        else begin
+          let e_pos = branch ev ~view ~k (s, Sample.Positive) ~cut:max_int in
+          if e_pos.lo < !best_lo then e_pos
+          else worst e_pos (branch ev ~view ~k (s, Sample.Negative) ~cut:e_pos.lo)
+        end
+      in
+      if e.lo < !best_lo then None else Some e
     end
   in
   (match e with
@@ -490,17 +591,40 @@ let score_candidate ev ~best_lo cls =
       Obs.Counter.incr c_scored;
       best_lo := max !best_lo e.lo
   | None -> Obs.Counter.incr c_pruned);
-  (cls, e)
+  e
 
 (* Entropy^k of every informative class of [state], ascending class order.
    [None] marks a candidate pruned as strictly worse (its entropy min is
    below another candidate's): pruned entries can never be the skyline
    best nor tie with it, so selection over the [Some] entries chooses
-   exactly the class the reference engine does. *)
+   exactly the class the reference engine does, whatever order the
+   candidates are scored in.  They are scored in descending bound order:
+   high bounds raise [best_lo] early, and once a bound falls below it
+   every later candidate is discarded unscanned.  At k ≠ 2 every bound
+   is +∞ and the order is ascending class order. *)
 let score state ~k =
-  match (State.view state).State.vinf with
+  let root = State.view state in
+  match root.State.vinf with
   | [] -> []
   | classes ->
-      let ev = evaluator state k in
+      let ev = evaluator state root k in
+      let cands = Array.of_list classes in
+      let n = Array.length cands in
+      let ub = if k = 2 then bounds ev else Array.make n max_int in
+      (* Insertion sort, stable, so equal bounds keep ascending class
+         order; a round whose bounds are all +∞ costs one pass. *)
+      let order = Array.init n Fun.id in
+      for r = 1 to n - 1 do
+        let x = order.(r) and j = ref (r - 1) in
+        while !j >= 0 && ub.(order.(!j)) < ub.(x) do
+          order.(!j + 1) <- order.(!j);
+          decr j
+        done;
+        order.(!j + 1) <- x
+      done;
+      let scores = Array.make n None in
       let best_lo = ref min_int in
-      List.map (score_candidate ev ~best_lo) classes
+      Array.iter
+        (fun r -> scores.(r) <- score_candidate ev ~best_lo ~ub:ub.(r) cands.(r))
+        order;
+      List.mapi (fun r cls -> (cls, scores.(r))) classes

@@ -59,3 +59,10 @@ val reference1 : State.t -> int -> t
     neither be the skyline best nor tie with it, so choosing over the
     [Some] entries picks exactly the class the reference engine would. *)
 val score : State.t -> k:int -> (int * t option) list
+
+(** [upper_bounds state] pairs every informative class of [state], in
+    ascending class order, with the upper bound on its entropy² min that
+    [score ~k:2] prunes and orders candidates by ([max_int] when labeling
+    the class negative can end the interaction).  Exposed for the
+    soundness property in the test suite. *)
+val upper_bounds : State.t -> (int * int) list

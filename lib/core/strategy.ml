@@ -169,10 +169,12 @@ let igs ?(samples = 256) prng =
    example exists, then the expensive lookahead once the search is framed.
    Motivated by the §5.3 discussion — TD's strength is the no-positive
    phase, L2S's the refinement phase — so the hybrid buys most of L2S's
-   interaction savings at a fraction of its cost. *)
+   interaction savings at a fraction of its cost.  It calls the inner
+   strategies' [choose] fields, not [choose], so each choice counts once
+   in [strategy.choices]. *)
 let hybrid =
   make "TD+L2S" (fun state ->
-      if State.has_positive state then choose l2s state else choose td state)
+      if State.has_positive state then l2s.choose state else td.choose state)
 
 let all ?(prng_seed = 42) () =
   [ rnd (Prng.create prng_seed); bu; td; l1s; l2s ]

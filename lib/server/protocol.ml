@@ -88,6 +88,7 @@ type response =
       relations : string list;
       cache_hits : int;
       cache_misses : int;
+      top_heap_words : int option;  (* absent from older servers' replies *)
     }
   | Error of { code : string; message : string }
 
@@ -348,7 +349,8 @@ let response_fields = function
         ("op", Json.Str "closed");
         ("session", Json.Str session);
       ]
-  | Stats_reply { sessions; relations; cache_hits; cache_misses } ->
+  | Stats_reply { sessions; relations; cache_hits; cache_misses; top_heap_words }
+    ->
       [
         ("ok", Json.Bool true);
         ("op", Json.Str "stats");
@@ -357,6 +359,9 @@ let response_fields = function
         ("cache_hits", Json.int cache_hits);
         ("cache_misses", Json.int cache_misses);
       ]
+      @ Option.fold ~none:[]
+          ~some:(fun w -> [ ("top_heap_words", Json.int w) ])
+          top_heap_words
   | Error { code; message } ->
       [
         ("ok", Json.Bool false);
@@ -636,7 +641,15 @@ let decode_response line =
             | None -> fail "response missing relations"
           in
           Stdlib.Ok
-            (id, Stats_reply { sessions; relations; cache_hits; cache_misses })
+            ( id,
+              Stats_reply
+                {
+                  sessions;
+                  relations;
+                  cache_hits;
+                  cache_misses;
+                  top_heap_words = int_field "top_heap_words" json;
+                } )
       | "error" ->
           let* code = str "code" in
           let* message = str "message" in

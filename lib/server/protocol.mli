@@ -115,6 +115,10 @@ type response =
       relations : string list;
       cache_hits : int;
       cache_misses : int;
+      top_heap_words : int option;
+          (** the server's peak major-heap size in words over all its
+              domains ([Gc.quick_stat]); [None] from a server that
+              predates the field *)
     }
   | Error of { code : string; message : string }
 

@@ -232,6 +232,9 @@ let handle manager request =
           relations = Catalog.names catalog;
           cache_hits = hits;
           cache_misses = misses;
+          (* The peak of all domains' heap words together, Pool workers
+             included. *)
+          top_heap_words = Some (Gc.quick_stat ()).Gc.top_heap_words;
         }
 
 let handle_line manager line =

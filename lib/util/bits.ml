@@ -153,6 +153,8 @@ let of_words width words =
   then invalid_arg "Bits.of_words: bit set beyond the width";
   { width; words = Array.copy words }
 
+let word t j = t.words.(j)
+
 let for_all p t = fold (fun i acc -> acc && p i) t true
 let exists p t = fold (fun i acc -> acc || p i) t false
 

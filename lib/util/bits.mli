@@ -70,6 +70,10 @@ val word_count : int -> int
     [Invalid_argument] on a word count other than [word_count w] or a bit
     set at a position >= [w]. *)
 val of_words : int -> int array -> t
+
+(** [word t j] is word [j] of [t]'s representation, in the layout
+    {!bits_per_word} describes ([0 <= j < word_count (width t)]). *)
+val word : t -> int -> int
 val for_all : (int -> bool) -> t -> bool
 val exists : (int -> bool) -> t -> bool
 

@@ -75,6 +75,37 @@ let test_hybrid_matches_l2s_after_positive () =
     (Strategy.choose Strategy.l2s st)
     (Strategy.choose Strategy.hybrid st)
 
+(* Every [Engine.select] (one "strategy.choose" span) counts one
+   [strategy.choices], also when the hybrid delegates to TD or L2S.  The
+   goal needs positive answers, so both phases run. *)
+let test_hybrid_counts_each_choice_once () =
+  let module Obs = Jqi_obs.Obs in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let result, report =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let result =
+          Inference.run universe0 Strategy.hybrid
+            (Oracle.honest ~goal:(pred0 [ (0, 2) ]))
+        in
+        (result, Obs.Report.snapshot ()))
+  in
+  let selects =
+    List.fold_left
+      (fun acc (s : Obs.Report.span_summary) ->
+        if String.equal s.s_name "strategy.choose" then acc + s.s_calls else acc)
+      0 report.Obs.Report.spans
+  in
+  Alcotest.(check bool) "L2S phase reached" true
+    (Obs.Report.counter report "oracle.answers_positive" > 0);
+  Alcotest.(check bool) "several choices" true (result.Inference.n_interactions > 1);
+  Alcotest.(check int) "strategy.choices = Engine.select calls" selects
+    (Obs.Report.counter report "strategy.choices")
+
 (* -------------------------- sampled universe ---------------------- *)
 
 let test_sampled_universe_shape () =
@@ -186,4 +217,6 @@ let suite =
       test_qbe_rejects_three_relations;
     Alcotest.test_case "qbe rejects a universe without relations" `Quick
       test_qbe_rejects_no_relations;
+    Alcotest.test_case "hybrid counts each choice once" `Quick
+      test_hybrid_counts_each_choice_once;
   ]

@@ -464,6 +464,58 @@ let check_wide_draws make_test () =
     (Printf.sprintf "multi-word rounds drawn (%d)" draws.multi_word)
     true (draws.multi_word > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Soundness of the k = 2 candidate bound.                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Algorithm 5's negative branch for [c] at k = 2, transcribed like
+   [Entropy.reference_k]: the best leaf entropy over the classes left
+   informative after labeling [c] negative, each leaf's u± counted over
+   the root's informative classes net of the two queried tuples; (∞,∞)
+   when no class is left. *)
+let reference_negative_branch st c =
+  let u = State.universe st in
+  let sig_of = Universe.signature u in
+  let ids0 = State.informative_classes st in
+  let certain extras i =
+    let tpos, negs = State.extend_virtual st extras in
+    State.certain_label_sig ~tpos ~negs (sig_of i) <> None
+  in
+  let neg = [ (sig_of c, Sample.Negative) ] in
+  let u_of extras =
+    List.fold_left
+      (fun acc i -> if certain extras i then acc + Universe.count u i else acc)
+      0 ids0
+    - 2
+  in
+  match List.filter (fun i -> not (certain neg i)) ids0 with
+  | [] -> Entropy.infinity
+  | is ->
+      let leaf j alpha = u_of ((sig_of j, alpha) :: neg) in
+      Option.value ~default:Entropy.infinity
+        (Entropy.best
+           (List.map
+              (fun j -> Entropy.make (leaf j Sample.Positive) (leaf j Sample.Negative))
+              is))
+
+(* The bound [Entropy.score ~k:2] prunes and orders by never undercuts
+   an exact value: UB(c) ≥ entropy²(c).lo and ≥ the lo of c's negative
+   branch, for every informative class, on rows of one and of several
+   words. *)
+let bound_is_sound draws =
+  QCheck.Test.make ~name:"wide Ω: k=2 bound ≥ reference entropy² lo" ~count:200
+    arb_wide_scenario (fun sc ->
+      let _, u = wide_universe sc in
+      let st = wide_state u sc in
+      count_draw draws st;
+      let bounds = Entropy.upper_bounds st in
+      List.equal Int.equal (List.map fst bounds) (State.informative_classes st)
+      && List.for_all
+           (fun (c, ub) ->
+             ub >= (Entropy.reference_k st 2 c).Entropy.lo
+             && ub >= (reference_negative_branch st c).Entropy.lo)
+           bounds)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -494,4 +546,6 @@ let suite =
       Alcotest.test_case "wide Ω: fast LkS runs = reference LkS runs (k=1,2)"
         `Quick
         (check_wide_draws wide_strategy_choices_match_reference);
+      Alcotest.test_case "wide Ω: k=2 bound ≥ reference entropy² lo" `Quick
+        (check_wide_draws bound_is_sound);
     ]

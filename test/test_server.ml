@@ -652,11 +652,12 @@ let gen_response =
              (list_size (int_range 0 3) (pair gen_str gen_str)));
         map (fun session -> P.Closed { session }) gen_str;
         map3
-          (fun sessions relations (cache_hits, cache_misses) ->
-            P.Stats_reply { sessions; relations; cache_hits; cache_misses })
+          (fun sessions relations (cache_hits, cache_misses, top_heap_words) ->
+            P.Stats_reply
+              { sessions; relations; cache_hits; cache_misses; top_heap_words })
           (int_bound 99)
           (list_size (int_range 0 3) gen_str)
-          (pair (int_bound 99) (int_bound 99));
+          (triple (int_bound 99) (int_bound 99) (option (int_bound 99)));
         map2 (fun code message -> P.Error { code; message }) gen_str gen_str;
       ])
 
@@ -787,8 +788,8 @@ let test_service_full_flight () =
       | P.Opened { cache_hit = true; _ } -> ()
       | _ -> Alcotest.fail "second open should hit the cache");
       match handle P.Stats with
-      | P.Stats_reply { sessions = 2; relations; cache_hits = 1; cache_misses = 1 }
-        ->
+      | P.Stats_reply
+          { sessions = 2; relations; cache_hits = 1; cache_misses = 1; _ } ->
           Alcotest.(check (list string)) "catalog names" [ "flight"; "hotel" ]
             relations
       | _ -> Alcotest.fail "stats")
@@ -1054,6 +1055,52 @@ let test_service_kary_frames_at_k2 () =
     "one cache entry: (hits, misses)" (2, 1)
     (Catalog.stats (Manager.catalog manager))
 
+(* A stats reply from a server that predates [top_heap_words] still
+   decodes, with the field [None]; a current reply carries it. *)
+let test_stats_reply_heap_field_optional () =
+  let old_frame =
+    {|{"id":3,"ok":true,"op":"stats","sessions":1,"relations":["r"],"cache_hits":2,"cache_misses":1}|}
+  in
+  (match P.decode_response old_frame with
+  | Ok (3, P.Stats_reply { sessions = 1; top_heap_words = None; _ }) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "older stats reply rejected");
+  match Service.handle (Manager.create (Catalog.create ())) P.Stats with
+  | P.Stats_reply { top_heap_words = Some w; _ } ->
+      Alcotest.(check bool) "positive heap peak" true (w > 0)
+  | _ -> Alcotest.fail "stats reply without top_heap_words"
+
+(* The reported heap peak counts allocation on Pool worker domains, as
+   the listener runs requests there.  The runtime's peak is taken over
+   the heap words of all domains together, so a job that builds and
+   keeps a list 2M words larger than the process's peak so far must
+   raise it, as read from the main domain while the worker is alive.
+   The margin of 1M words allows for allocation the worker's runtime
+   has not yet reported. *)
+let test_stats_heap_peak_counts_workers () =
+  let module Pool = Jqi_server.Pool in
+  let manager = Manager.create (Catalog.create ()) in
+  let top () =
+    match Service.handle manager P.Stats with
+    | P.Stats_reply { top_heap_words = Some w; _ } -> w
+    | _ -> Alcotest.fail "stats reply without top_heap_words"
+  in
+  let before = top () in
+  (* A list cell is 3 words. *)
+  let cells = (before + 2_000_000) / 3 in
+  let pool = Pool.create ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      match Pool.submit pool (fun () -> List.init cells Fun.id) with
+      | Pool.Shed -> Alcotest.fail "job shed"
+      | Pool.Done kept ->
+          let grown = top () - before in
+          Alcotest.(check bool)
+            (Printf.sprintf "worker allocation counted (%d words over %d)" grown
+               before)
+            true (grown >= 1_000_000);
+          ignore (Sys.opaque_identity kept))
+
 let suite =
   [
     Alcotest.test_case "catalog cache" `Quick test_catalog_cache;
@@ -1086,4 +1133,8 @@ let suite =
     Alcotest.test_case "service error frames" `Quick test_service_errors;
     Alcotest.test_case "open_kary/resume_kary frames at k = 2" `Quick
       test_service_kary_frames_at_k2;
+    Alcotest.test_case "stats reply: top_heap_words is optional" `Quick
+      test_stats_reply_heap_field_optional;
+    Alcotest.test_case "stats reply: heap peak counts Pool workers" `Quick
+      test_stats_heap_peak_counts_workers;
   ]
