@@ -655,17 +655,32 @@ let run_kary ~full ~seed =
      with a block for every relation pair and once with the chain's
      adjacent pairs only (the join-path universe). *)
   let chain_edges = [ (0, 1); (1, 2) ] in
-  let full_u = Universe.build rel_list in
-  let chain_u = Universe.build ~edges:chain_edges rel_list in
+  (* Each universe's build seconds (best of 3) and the walk's class
+     merges from one instrumented build: the deterministic work count CI
+     gates. *)
+  let build_measured ?edges () =
+    let u, s = time_best (fun () -> Universe.build ?edges rel_list) in
+    let was_enabled = Obs.enabled () in
+    Obs.reset ();
+    Obs.set_enabled true;
+    ignore (Universe.build ?edges rel_list);
+    let work = Obs.Counter.find "universe.kary_work" in
+    Obs.set_enabled was_enabled;
+    (u, s, work)
+  in
+  let full_u, full_s, full_work = build_measured () in
+  let chain_u, chain_s, chain_work = build_measured ~edges:chain_edges () in
   let chain_identical =
     universes_equal chain_u (Universe.build_kary_naive ~edges:chain_edges rel_list)
   in
   let omega_bits u = Omega.width (Universe.omega u) in
   Printf.printf
-    "  omega: full %d bits, %d classes; chain %d bits, %d classes (%s naive)\n"
+    "  omega: full %d bits, %d classes; chain %d bits, %d classes (%s naive)\n\
+    \    build: full %.2f ms, %d merges; chain %.2f ms, %d merges\n"
     (omega_bits full_u) (Universe.n_classes full_u) (omega_bits chain_u)
     (Universe.n_classes chain_u)
-    (if chain_identical then "identical to" else "DIVERGED from");
+    (if chain_identical then "identical to" else "DIVERGED from")
+    (full_s *. 1e3) full_work (chain_s *. 1e3) chain_work;
   let infer label u =
     let goal =
       Omega.of_names_kary (Universe.omega u)
@@ -738,6 +753,8 @@ let run_kary ~full ~seed =
                    [
                      ("omega_bits", Json.int (omega_bits full_u));
                      ("classes", Json.int (Universe.n_classes full_u));
+                     ("build_s", Json.Num full_s);
+                     ("kary_work", Json.int full_work);
                    ] );
                ( "chain",
                  Json.Obj
@@ -749,6 +766,8 @@ let run_kary ~full ~seed =
                             chain_edges) );
                      ("omega_bits", Json.int (omega_bits chain_u));
                      ("classes", Json.int (Universe.n_classes chain_u));
+                     ("build_s", Json.Num chain_s);
+                     ("kary_work", Json.int chain_work);
                      ("identical", Json.Bool chain_identical);
                      ("inference", Json.List chain_entries);
                    ] );

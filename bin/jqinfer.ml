@@ -232,20 +232,37 @@ let cmd_infer r_path p_path relations strategy_name seed verbose ubuilder
   let engine =
     match resume with
     | None -> Engine.create universe strategy
-    | Some path ->
-        let loaded = Jqi_core.Session.load_full path universe in
-        Printf.printf "Resumed %d earlier answers from %s%s.\n"
-          (State.n_interactions loaded.Jqi_core.Session.state)
-          path
-          (match loaded.Jqi_core.Session.strategy with
-          | Some s -> Printf.sprintf " (saved under strategy %s)" s
-          | None -> "");
-        let pending =
-          Jqi_core.Session.pending_class universe
-            loaded.Jqi_core.Session.state loaded.Jqi_core.Session.pending
+    | Some path -> (
+        let module Session = Jqi_core.Session in
+        (* A document the instance cannot thaw is a usage error, like a
+           bad --goal; the pending question resolves by its signature
+           when the document carries one, as the server's resume does. *)
+        let bad msg =
+          Printf.eprintf "bad --resume: %s\n" msg;
+          exit 2
         in
-        Engine.create ~state:loaded.Jqi_core.Session.state ?pending universe
-          strategy
+        match
+          let loaded = Session.load_full path universe in
+          ( loaded,
+            Session.pending_class ?signature:loaded.Session.pending_sig
+              universe loaded.Session.state loaded.Session.pending )
+        with
+        | exception Session.Corrupt msg -> bad msg
+        | exception Session.Stale_label { signature; label } ->
+            bad
+              (Printf.sprintf "%s signature %s names no class of this instance"
+                 (match label with
+                 | Some _ -> "an example's"
+                 | None -> "the pending question's")
+                 (Jqi_util.Bits.to_string signature))
+        | loaded, pending ->
+            Printf.printf "Resumed %d earlier answers from %s%s.\n"
+              (State.n_interactions loaded.Session.state)
+              path
+              (match loaded.Session.strategy with
+              | Some s -> Printf.sprintf " (saved under strategy %s)" s
+              | None -> "");
+            Engine.create ~state:loaded.Session.state ?pending universe strategy)
   in
   (* The interactive loop over the sans-IO engine.  [None] means stdin
      closed mid-session: autosave (to --save or a temp file) and print the

@@ -14,10 +14,10 @@
          whole [Engine] session: the strategy name and the in-flight
          question (as a row-index pair).  v1 files still load — they
          simply carry neither.
-     v3  k-ary sessions: examples and pending carry {"rows":[i,…]}, one
-         row index per relation.  Binary sessions keep writing v2, so
-         every document produced by earlier builds round-trips and v2
-         readers keep working on binary data. *)
+     v3  examples and pending carry {"rows":[i,…]}, one row index per
+         relation.  Every session writes v3, binary ones included; v1
+         and v2 documents (binary only) still load, so every document
+         produced by earlier builds resumes. *)
 
 module Json = Jqi_util.Json
 module Relation = Jqi_relational.Relation
@@ -68,10 +68,8 @@ let sig_field s = ("sig", Json.List (List.map Json.int (Jqi_util.Bits.elements s
 
 let to_json ?strategy ?pending universe state =
   let rels = relations_of universe in
-  let binary = Int.equal (Array.length rels) 2 in
   let rows_fields rep =
-    if binary then [ ("r", Json.int rep.(0)); ("p", Json.int rep.(1)) ]
-    else [ ("rows", Json.List (Array.to_list (Array.map Json.int rep))) ]
+    [ ("rows", Json.List (Array.to_list (Array.map Json.int rep))) ]
   in
   let example (cls, label) =
     Json.Obj
@@ -84,7 +82,7 @@ let to_json ?strategy ?pending universe state =
   Json.Obj
     (List.concat
        [
-         [ ("version", Json.int (if binary then 2 else version)) ];
+         [ ("version", Json.int version) ];
          (match strategy with
          | Some s -> [ ("strategy", Json.Str s) ]
          | None -> []);

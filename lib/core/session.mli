@@ -6,8 +6,9 @@
 
     Schema v2 additionally persists the strategy name and the in-flight
     question; v3 generalizes examples and pending to k-ary row vectors.
-    Binary sessions keep writing v2 documents, so earlier readers and
-    checked-in fixtures stay valid; v1..v3 files all load. *)
+    Every session writes v3, at every k; v1..v3 files all load, so
+    documents written by earlier builds and the checked-in v1/v2
+    fixtures stay valid. *)
 
 exception Corrupt of string
 
@@ -22,8 +23,7 @@ exception
     label : Sample.label option;
   }
 
-(** The newest version this build writes (3 — k-ary sessions only; binary
-    sessions write 2).  Versions 1..[version] load. *)
+(** The version this build writes (3).  Versions 1..[version] load. *)
 val version : int
 
 (** A thawed session: the replayed sample plus the v2+ metadata (absent

@@ -113,7 +113,7 @@ let check_relations ~entry rels =
 
 (* The reference per-pair scan: every tuple of R × P gets its own
    [Tsig.of_tuples] call and bitset.  Kept as the executable definition
-   and as the differential oracle for the binary kernel below. *)
+   and as the differential oracle for [build] at k = 2. *)
 let build_naive r p =
   Obs.span "universe.build_naive" @@ fun () ->
   let rels = [| r; p |] in
@@ -135,28 +135,21 @@ let build_naive r p =
 
 (* ---------------- profile-quotient construction ------------------- *)
 
-(* The quotient-first constructor exploits two levels of redundancy the
-   per-pair scan ignores:
+(* Every builder below exploits two levels of redundancy the per-tuple
+   scans ignore:
 
-   1. Value dictionary: every cell of R and P is interned into one shared
-      dense code space ([Jqi_relational.Dict]) replicating [Value.eq], so
-      matching is integer equality on flat arrays instead of
-      tag-dispatching on boxed [Value.t].
+   1. Value dictionary: every cell of every relation is interned into one
+      shared dense code space ([Jqi_relational.Dict]) replicating
+      [Value.eq], so matching is integer equality on flat arrays instead
+      of tag-dispatching on boxed [Value.t].
 
    2. Row profiles: two rows with the same code vector produce the same
       signature against *every* partner row, so it suffices to compute
-      signatures for distinct-profile pairs and add multiplicity
-      |profile_R| × |profile_P| per pair.
+      signatures for distinct-profile combinations and add the product
+      of the profile multiplicities per combination.
 
-   The signatures themselves come from [binary_kernel] below, whose work
-   follows the matches rather than the d_R·d_P profile pairs.
-
-   The result is identical to [build_naive]: same classes and counts by
-   construction, and the same representatives because the full-scan rep of
-   a class is its lexicographically smallest pair (i, j), which for a
-   profile pair (a, b) — whose members are all combinations of a's rows
-   with b's rows — is (first row of a, first row of b), min-merged across
-   the profile pairs sharing a signature. *)
+   The signatures themselves come from [classes_of] below, whose work
+   follows the matches rather than the ∏ d_i profile combinations. *)
 
 module Profile = struct
   type t = int array
@@ -172,8 +165,8 @@ end
 
 module PH = Hashtbl.Make (Profile)
 
-(* The binary kernel's class table: keyed by a signature's word array,
-   probed with one reused key so only a new class allocates. *)
+(* The class table: keyed by a signature's word array, probed with one
+   reused key so only a new class allocates. *)
 module W = Hashtbl.Make (struct
   type t = int array
 
@@ -211,155 +204,292 @@ let c_profiles_p = Obs.Counter.make "universe.profiles_p"
 let c_profile_pairs = Obs.Counter.make "universe.profile_pairs"
 let c_pairs_skipped = Obs.Counter.make "universe.pairs_skipped"
 let c_pairs_touched = Obs.Counter.make "universe.pairs_touched"
+let c_kary_work = Obs.Counter.make "universe.kary_work"
+let c_kary_collapsed = Obs.Counter.make "universe.kary_collapsed"
 
-type kclass = { mutable k_count : int; mutable rep_r : int; mutable rep_p : int }
+(* A relation's profiles indexed as code → (profile, column) postings,
+   in CSR form: the postings of code c are [start.(c) .. start.(c+1)-1].
+   NULL/NaN cells carry negative codes and are never posted. *)
+type postings = { start : int array; prof : int array; col : int array }
 
-(* The binary quotient kernel: the classes of rprofs × pprofs, as
-   (signature, multiplicity, representative) triples for
-   [of_signature_list].  Both profile arrays are in ascending first-row
-   order; [n_codes] bounds every code, [m] is P's arity and bit (x, y)
-   sits at x·m + y.
-
-   Instead of comparing every profile pair, P's profiles are indexed as
-   code → (P-profile, column) postings.  Each R-profile [a] follows the
-   postings of its codes and ORs the matching bits into a per-P-profile
-   scratch slice; only the P-profiles it touched are looked up in the
-   class table, and the slice is cleared as it is read.  The untouched
-   P-profiles all have the empty signature, so they cost one
-   multiplication: mult(a)·(|P| − Σ touched multiplicities).
-
-   Representatives: R-profiles run in ascending first-row order, so the
-   first one with an untouched partner owns the empty class's minimum,
-   paired with its smallest untouched P-profile; every other class
-   min-merges (first row of a, first row of b) as two ints.  NULL/NaN
-   cells carry negative codes and are never posted or probed.
-
-   Cost O((|R|+|P|)·arity + postings visited + touched pairs · words)
-   after profiling, against d_R·d_P·|Ω| for the pair loop. *)
-let binary_kernel ~n_codes ~m ~width rprofs pprofs =
-  let words = Bits.word_count width and bpw = Bits.bits_per_word in
-  let np = Array.length pprofs in
+let postings ~n_codes profs =
   let start = Array.make (n_codes + 1) 0 in
   Array.iter
     (fun b ->
       Array.iter (fun c -> if c >= 0 then start.(c + 1) <- start.(c + 1) + 1) b.codes)
-    pprofs;
+    profs;
   for c = 1 to n_codes do
     start.(c) <- start.(c) + start.(c - 1)
   done;
-  let post_prof = Array.make start.(n_codes) 0 in
-  let post_col = Array.make start.(n_codes) 0 in
+  let prof = Array.make start.(n_codes) 0 and col = Array.make start.(n_codes) 0 in
   let fill = Array.sub start 0 n_codes in
   Array.iteri
     (fun bi b ->
       Array.iteri
         (fun y c ->
           if c >= 0 then begin
-            let k = fill.(c) in
-            post_prof.(k) <- bi;
-            post_col.(k) <- y;
-            fill.(c) <- k + 1
+            let q = fill.(c) in
+            prof.(q) <- bi;
+            col.(q) <- y;
+            fill.(c) <- q + 1
           end)
         b.codes)
-    pprofs;
-  let p_rows = Array.fold_left (fun s b -> s + b.multiplicity) 0 pprofs in
-  let scratch = Array.make (np * words) 0 in
-  (* [stamp.(bi)] is the last R-profile that touched P-profile [bi]. *)
-  let stamp = Array.make np (-1) in
-  let touched = Array.make np 0 in
-  let key = Array.make words 0 in
-  let tbl = W.create 256 in
-  let empty_count = ref 0 and empty_rep = ref [||] and n_touched = ref 0 in
-  Array.iteri
-    (fun ai a ->
-      let nt = ref 0 in
-      Array.iteri
-        (fun x c ->
-          if c >= 0 then
-            for k = start.(c) to start.(c + 1) - 1 do
-              let bi = post_prof.(k) in
-              if not (Int.equal stamp.(bi) ai) then begin
-                stamp.(bi) <- ai;
-                touched.(!nt) <- bi;
-                incr nt
-              end;
-              let bit = (x * m) + post_col.(k) in
-              let w = (bi * words) + (bit / bpw) in
-              scratch.(w) <- scratch.(w) lor (1 lsl (bit mod bpw))
-            done)
-        a.codes;
-      let touched_rows = ref 0 in
-      for t = 0 to !nt - 1 do
-        let b = pprofs.(touched.(t)) in
-        touched_rows := !touched_rows + b.multiplicity;
-        let base = touched.(t) * words in
-        Array.blit scratch base key 0 words;
-        Array.fill scratch base words 0;
-        let mult = a.multiplicity * b.multiplicity in
-        match W.find_opt tbl key with
-        | Some cl ->
-            cl.k_count <- cl.k_count + mult;
-            if a.first_row < cl.rep_r
-               || (Int.equal a.first_row cl.rep_r && b.first_row < cl.rep_p)
-            then begin
-              cl.rep_r <- a.first_row;
-              cl.rep_p <- b.first_row
-            end
-        | None ->
-            W.add tbl (Array.copy key)
-              { k_count = mult; rep_r = a.first_row; rep_p = b.first_row }
+    profs;
+  { start; prof; col }
+
+type kclass = { mutable k_count : int; mutable k_rep : int array }
+
+(* Whether the candidate representative rows.(m..m+n-1) ++ tail sorts
+   before [rep] (of the same length) from position [x] on, and the
+   candidate itself. *)
+let rec rep_below rows m n tail rep x =
+  x < Array.length rep
+  &&
+  let v = if x < n then rows.(m + x) else tail.(x - n) in
+  v < rep.(x) || (Int.equal v rep.(x) && rep_below rows m n tail rep (x + 1))
+
+let rep_cand rows m j tail =
+  let n = j - m in
+  let r = Array.make (n + Array.length tail) 0 in
+  Array.blit rows m r 0 n;
+  Array.blit tail 0 r n (Array.length tail);
+  r
+
+(* The one construction core: the classes of profs.(0) × … × profs.(k-1)
+   as (signature, multiplicity, representative) triples for
+   [of_signature_list].  Each profile array is in ascending first-row
+   order, [n_codes] bounds every code, and the signature covers the
+   blocks of [omega].  A trie walk in the leapfrog spirit: relations are
+   levels, profiles are keys, and whole subtrees collapse instead of
+   being enumerated.
+
+   Each level j >= 1 owns R_j's postings.  Entering it, the walk follows
+   the postings of every code of the profiles chosen for the edges
+   (i, j) and ORs the matching bits into a per-profile scratch slice, so
+   only the profiles of R_j sharing a code with the prefix are touched.
+   - At an inner level, every profile of R_j extends the prefix: a
+     touched one by its slice, an untouched one with the prefix
+     signature unchanged.
+   - At the last level (j = k-1) the walk does not descend: each touched
+     profile costs one class-table probe, and all untouched profiles go
+     in one bulk merge — the prefix signature, with count prefix
+     multiplicity × untouched rows and representative prefix ++ the
+     first untouched profile's first row.  At k = 2 this level is the
+     whole walk: each R-profile follows its postings into P.
+   - Disconnected-suffix collapse: when no code of the prefix appears in
+     any later relation joined to it by an edge, no further cross bits
+     can arise, so an inner level folds in the precomputed *suffix
+     universe* (the classes of R_j × … × R_{k-1} alone, built earlier
+     by the same walk) one merge per suffix class.
+
+   Representatives: every merge min-merges its candidate row vector, so
+   each class keeps its lexicographically smallest member, which for a
+   profile combination is its first rows; the first untouched profile
+   has the smallest first row among the untouched ones.
+
+   Cost O(Σ d_i·arity + postings visited + touched profiles · words)
+   per prefix, against ∏ d_i·|Ω| for comparing every combination.
+   [work] counts class merges; past [limit] the walk raises
+   [Kary_too_large]. *)
+let classes_of ?(limit = max_int) ~n_codes omega profs =
+  let k = Array.length profs in
+  let last = k - 1 in
+  if Array.exists (fun ps -> Int.equal (Array.length ps) 0) profs then []
+  else begin
+    let width = Omega.width omega in
+    let words = Bits.word_count width and bpw = Bits.bits_per_word in
+    let blocks = Omega.blocks omega in
+    (* touch.(i).(a): the mask of edge neighbours sharing at least one
+       code with profile a of relation i.  Only the collapse test of an
+       inner level reads it, on the prefix relations i <= k-3. *)
+    let touch =
+      if k < 3 then [||]
+      else begin
+        let nbrs = Array.make k 0 in
+        Array.iter
+          (fun (i, j, _) ->
+            nbrs.(i) <- nbrs.(i) lor (1 lsl j);
+            nbrs.(j) <- nbrs.(j) lor (1 lsl i))
+          blocks;
+        let code_rels = Array.make n_codes 0 in
+        Array.iteri
+          (fun i ps ->
+            Array.iter
+              (fun p ->
+                Array.iter
+                  (fun c -> if c >= 0 then code_rels.(c) <- code_rels.(c) lor (1 lsl i))
+                  p.codes)
+              ps)
+          profs;
+        Array.init (k - 2) (fun i ->
+            Array.map
+              (fun p ->
+                Array.fold_left
+                  (fun mask c -> if c >= 0 then mask lor code_rels.(c) else mask)
+                  0 p.codes
+                land nbrs.(i))
+              profs.(i))
+      end
+    in
+    let touch_of i a = if i < k - 2 then touch.(i).(a) else 0 in
+    (* Level j >= 1's postings, scratch slices, visit stamps and touched
+       profiles; relation 0 is never a level. *)
+    let per_level f = Array.mapi (fun j ps -> if j > 0 then f ps else f [||]) profs in
+    let post = per_level (postings ~n_codes) in
+    let scratch = per_level (fun ps -> Array.make (Array.length ps * words) 0) in
+    let stamp = per_level (fun ps -> Array.make (Array.length ps) (-1)) in
+    let hits = per_level (fun ps -> Array.make (Array.length ps) 0) in
+    let visits = Array.make k 0 in
+    let rows_of =
+      Array.map (Array.fold_left (fun s p -> s + p.multiplicity) 0) profs
+    in
+    (* sig_at.(j): the prefix signature entering level j. *)
+    let sig_at = Array.init (k + 1) (fun _ -> Array.make words 0) in
+    let key = Array.make words 0 in
+    (* cur.(i) / rows.(i): the profile chosen for relation i, and its
+       first row. *)
+    let cur = Array.make k 0 and rows = Array.make k 0 in
+    let work = ref 0 and n_touched = ref 0 and n_collapsed = ref 0 in
+    (* Stage m's scatter into level j: OR the bits of every edge (i, j)
+       with i >= m into R_j's scratch slices, stamping each touched
+       profile with this visit; returns how many were touched. *)
+    let arity = Array.init k (Omega.arity_at omega) in
+    let scatter m j =
+      let id = visits.(j) + 1 in
+      visits.(j) <- id;
+      let st = stamp.(j) and hit = hits.(j) and sc = scratch.(j) and p = post.(j) in
+      let mj = arity.(j) and nt = ref 0 in
+      for e = 0 to Array.length blocks - 1 do
+        let i, j', base = blocks.(e) in
+        if Int.equal j' j && i >= m then begin
+          let codes = profs.(i).(cur.(i)).codes in
+          for x = 0 to Array.length codes - 1 do
+            let c = codes.(x) in
+            if c >= 0 then
+              for q = p.start.(c) to p.start.(c + 1) - 1 do
+                let b = p.prof.(q) in
+                if not (Int.equal st.(b) id) then begin
+                  st.(b) <- id;
+                  hit.(!nt) <- b;
+                  incr nt
+                end;
+                let bit = base + (x * mj) + p.col.(q) in
+                let w = (b * words) + (bit / bpw) in
+                sc.(w) <- sc.(w) lor (1 lsl (bit mod bpw))
+              done
+          done
+        end
       done;
       n_touched := !n_touched + !nt;
-      let untouched = p_rows - !touched_rows in
-      if untouched > 0 then begin
-        empty_count := !empty_count + (a.multiplicity * untouched);
-        if Int.equal (Array.length !empty_rep) 0 then begin
-          let j = ref 0 in
-          while Int.equal stamp.(!j) ai do
-            incr j
+      !nt
+    in
+    (* suffix.(j), 1 <= j <= k-2: the classes of R_j × … × R_{k-1} as
+       word arrays with suffix-length representatives. *)
+    let suffix = Array.make k [] in
+    let stage m =
+      let tbl = W.create 256 in
+      (* Merge into [cl] a class member of multiplicity [count] whose
+         candidate representative is rows.(m..j-1) ++ tail. *)
+      let absorb cl count j tail =
+        incr work;
+        if !work > limit then raise (Kary_too_large { work = !work; limit });
+        cl.k_count <- cl.k_count + count;
+        if rep_below rows m (j - m) tail cl.k_rep 0 then cl.k_rep <- rep_cand rows m j tail
+      in
+      (* The same, for the class whose signature is in [key]. *)
+      let merge count j tail =
+        match W.find_opt tbl key with
+        | Some cl ->
+            absorb cl count j tail;
+            cl
+        | None ->
+            let cl = { k_count = 0; k_rep = rep_cand rows m j tail } in
+            W.add tbl (Array.copy key) cl;
+            absorb cl count j tail;
+            cl
+      in
+      (* The last bulk merge's prefix signature and class: consecutive
+         prefixes often share their signature (at k = 2 it is always
+         empty), and then the bulk merge needs no probe. *)
+      let bulk_sig = Array.make words 0 and bulk_cl = ref None in
+      let rec level j mult touched =
+        let src = sig_at.(j) and sc = scratch.(j) in
+        if Int.equal j last then begin
+          let nt = scatter m j in
+          let touched_rows = ref 0 in
+          for t = 0 to nt - 1 do
+            let b = hits.(j).(t) in
+            let p = profs.(j).(b) in
+            touched_rows := !touched_rows + p.multiplicity;
+            let base = b * words in
+            for w = 0 to words - 1 do
+              key.(w) <- src.(w) lor sc.(base + w);
+              sc.(base + w) <- 0
+            done;
+            rows.(j) <- p.first_row;
+            ignore (merge (mult * p.multiplicity) k [||] : kclass)
           done;
-          empty_rep := [| a.first_row; pprofs.(!j).first_row |]
+          let untouched = rows_of.(j) - !touched_rows in
+          if untouched > 0 then begin
+            let b = ref 0 in
+            while Int.equal stamp.(j).(!b) visits.(j) do
+              incr b
+            done;
+            rows.(j) <- profs.(j).(!b).first_row;
+            match !bulk_cl with
+            | Some cl when Profile.equal src bulk_sig -> absorb cl (mult * untouched) k [||]
+            | Some _ | None ->
+                Array.blit src 0 key 0 words;
+                Array.blit src 0 bulk_sig 0 words;
+                bulk_cl := Some (merge (mult * untouched) k [||])
+          end
         end
-      end)
-    rprofs;
-  Obs.Counter.add c_pairs_touched !n_touched;
-  let sigs =
-    W.fold
-      (fun words cl l ->
-        (Bits.of_words width words, cl.k_count, [| cl.rep_r; cl.rep_p |]) :: l)
-      tbl []
-  in
-  if !empty_count > 0 then (Bits.empty width, !empty_count, !empty_rep) :: sigs
-  else sigs
-
-let merge_into acc s count rep =
-  match H.find_opt acc s with
-  | Some (c, rep') -> H.replace acc s (c + count, rep_min rep rep')
-  | None -> H.add acc s (count, rep)
-
-(* The k = 2 builder.  Its span keeps the historical name, which
-   traces and the wire benchmark read. *)
-let build_pair omega r p =
-  Obs.span "universe.build_quotient" @@ fun () ->
-  let nr = Relation.cardinality r and np = Relation.cardinality p in
-  let dict = Dict.create ~size:(nr + np) () in
-  let rprofs = stream_profiles dict r in
-  let pprofs = stream_profiles dict p in
-  Obs.Counter.add c_dict_values (Dict.size dict);
-  Obs.Counter.add c_profiles_r (Array.length rprofs);
-  Obs.Counter.add c_profiles_p (Array.length pprofs);
-  let n_pairs = Array.length rprofs * Array.length pprofs in
-  Obs.Counter.add c_profile_pairs n_pairs;
-  Obs.Counter.add c_pairs_skipped ((nr * np) - n_pairs);
-  binary_kernel ~n_codes:(Dict.size dict) ~m:(Omega.arity_at omega 1)
-    ~width:(Omega.width omega) rprofs pprofs
-  |> of_signature_list ~relations:[| r; p |] omega
-
-(* ---------------- k >= 3 construction ----------------------------- *)
-
-let c_kary_profiles = Obs.Counter.make "universe.kary_profiles"
-let c_kary_work = Obs.Counter.make "universe.kary_work"
-let c_kary_collapsed = Obs.Counter.make "universe.kary_collapsed"
+        else if Int.equal (touched land ((1 lsl k) - (1 lsl j))) 0 then begin
+          incr n_collapsed;
+          List.iter
+            (fun (sw, c, srep) ->
+              for w = 0 to words - 1 do
+                key.(w) <- src.(w) lor sw.(w)
+              done;
+              ignore (merge (mult * c) j srep : kclass))
+            suffix.(j)
+        end
+        else begin
+          ignore (scatter m j : int);
+          let id = visits.(j) and dst = sig_at.(j + 1) in
+          Array.iteri
+            (fun b p ->
+              if Int.equal stamp.(j).(b) id then begin
+                let base = b * words in
+                for w = 0 to words - 1 do
+                  dst.(w) <- src.(w) lor sc.(base + w);
+                  sc.(base + w) <- 0
+                done
+              end
+              else Array.blit src 0 dst 0 words;
+              cur.(j) <- b;
+              rows.(j) <- p.first_row;
+              level (j + 1) (mult * p.multiplicity) (touched lor touch_of j b))
+            profs.(j)
+        end
+      in
+      Array.iteri
+        (fun a p ->
+          cur.(m) <- a;
+          rows.(m) <- p.first_row;
+          level (m + 1) p.multiplicity (touch_of m a))
+        profs.(m);
+      W.fold (fun w cl l -> (w, cl.k_count, cl.k_rep) :: l) tbl []
+    in
+    for m = k - 2 downto 1 do
+      suffix.(m) <- stage m
+    done;
+    let classes = stage 0 in
+    Obs.Counter.add c_kary_work !work;
+    Obs.Counter.add c_pairs_touched !n_touched;
+    Obs.Counter.add c_kary_collapsed !n_collapsed;
+    List.map (fun (w, c, rep) -> (Bits.of_words width w, c, rep)) classes
+  end
 
 (* The reference k-way scan: one [Tsig.of_ktuples] per raw tuple of
    ∏ R_i — the executable definition of the universe at any k and the
@@ -392,189 +522,31 @@ let build_kary_naive ?edges rels =
   of_signature_list ~relations:rels omega
     (H.fold (fun s (c, r) l -> (s, c, r) :: l) acc [])
 
-(* The k >= 3 builder: profile grouping per relation (as in the binary
-   kernel), then a trie walk over distinct-profile k-tuples in the
-   leapfrog spirit — relations are levels, profiles are keys, and whole
-   subtrees collapse instead of being enumerated.  Two collapses apply:
-
-   1. Profile quotient: ∏|R_i| raw tuples shrink to at most ∏ d_i
-      distinct-profile combinations, each merged with the product of the
-      profile multiplicities.
-
-   2. Disconnected-suffix collapse: walking relations left to right, when
-      none of the codes of the profiles chosen so far appears in any
-      remaining relation joined to them by an edge of Ω, no further
-      cross bits can be produced — the walk folds in the precomputed
-      *suffix universe* (classes of R_j × … × R_{k-1} alone) in one step
-      per suffix class rather than descending.  Suffix universes are
-      built bottom-up by the same walk, so the construction is one pass
-      of k stages.
-
-   Block signatures are computed only for the blocks of Ω and cached per
-   (block, profile pair), so each is computed once even though the walk
-   revisits it on every branch — this is where the "pairwise binary
-   composition" reuse lives.
-
-   Identical to [build_kary_naive] by the same argument as the binary
-   kernel: same classes and counts by construction, and representatives
-   are min-merged lexicographically smallest row vectors.
-
-   [limit] bounds the number of class merges (the unit of real work); a
-   walk exceeding it raises [Kary_too_large] — the typed refusal for
-   products whose quotient is still too big. *)
+(* [limit] bounds the class merges of a k >= 3 walk: the typed refusal
+   for products whose quotient is still too big.  A k = 2 walk has no
+   inner level to multiply prefixes, so it is never refused. *)
 let default_kary_limit = 20_000_000
 
-let build_walk ~limit omega rels =
-  Obs.span "universe.build_kary" @@ fun () ->
-  let k = Array.length rels in
-  let width = Omega.width omega in
-  let total_rows = Array.fold_left (fun s r -> s + Relation.cardinality r) 0 rels in
-  let dict = Dict.create ~size:total_rows () in
-  let profs = Array.map (fun r -> stream_profiles dict r) rels in
-  Array.iter (fun ps -> Obs.Counter.add c_kary_profiles (Array.length ps)) profs;
-  (* Which codes appear anywhere in each relation. *)
-  let rel_codes =
-    Array.map
-      (fun ps ->
-        let h = Hashtbl.create 64 in
-        Array.iter
-          (fun p ->
-            Array.iter (fun c -> if c >= 0 then Hashtbl.replace h c ()) p.codes)
-          ps;
-        h)
-      profs
-  in
-  (* The blocks of Ω as adjacency: each relation's edge neighbours, and
-     per relation j the blocks (i, j) ending there with their offsets. *)
-  let nbrs = Array.make k [] and into = Array.make k [] in
-  Array.iter
-    (fun (i, j, base) ->
-      nbrs.(i) <- j :: nbrs.(i);
-      nbrs.(j) <- i :: nbrs.(j);
-      into.(j) <- (i, base) :: into.(j))
-    (Omega.blocks omega);
-  (* Per profile, the bitmask of edge neighbours sharing at least one
-     code. *)
-  let touch =
-    Array.mapi
-      (fun i ps ->
-        Array.map
-          (fun p ->
-            let m = ref 0 in
-            Array.iter
-              (fun c ->
-                if c >= 0 then
-                  List.iter
-                    (fun j ->
-                      if Hashtbl.mem rel_codes.(j) c then m := !m lor (1 lsl j))
-                    nbrs.(i))
-              p.codes;
-            !m)
-          ps)
-      profs
-  in
-  let suffix_mask =
-    Array.init (k + 1) (fun j ->
-        let m = ref 0 in
-        for i = j to k - 1 do
-          m := !m lor (1 lsl i)
-        done;
-        !m)
-  in
-  (* Cached block signatures, keyed by profile-index pair. *)
-  let block_tbl = Array.init k (fun _ -> Array.init k (fun _ -> Hashtbl.create 16)) in
-  let block_sig i a j b base =
-    let tbl = block_tbl.(i).(j) in
-    let key = (a * Array.length profs.(j)) + b in
-    match Hashtbl.find_opt tbl key with
-    | Some s -> s
-    | None ->
-        let ci = profs.(i).(a).codes and cj = profs.(j).(b).codes in
-        let m = Array.length cj in
-        let s =
-          Bits.build width (fun set ->
-              for x = 0 to Array.length ci - 1 do
-                let c = ci.(x) in
-                if c >= 0 then
-                  for y = 0 to m - 1 do
-                    if Int.equal c cj.(y) then set (base + (x * m) + y)
-                  done
-              done)
-        in
-        Hashtbl.add tbl key s;
-        s
-  in
-  let work = ref 0 in
-  let bump () =
-    incr work;
-    if !work > limit then raise (Kary_too_large { work = !work; limit })
-  in
-  (* [rep_of rev_prefix len suffix_rep]: the reversed prefix rows (length
-     [len]) followed by a suffix representative. *)
-  let rep_of rev_prefix len suffix_rep =
-    let arr = Array.make (len + Array.length suffix_rep) 0 in
-    List.iteri (fun idx v -> arr.(len - 1 - idx) <- v) rev_prefix;
-    Array.blit suffix_rep 0 arr len (Array.length suffix_rep);
-    arr
-  in
-  (* suffix.(m): classes of R_m × … × R_{k-1} alone, as full-width
-     signatures (their bits live in suffix blocks only) with suffix-length
-     representatives.  suffix.(k) is the neutral element.  [cur.(i)] is
-     the profile the walk has chosen for relation i (m ≤ i < j). *)
-  let suffix = Array.make (k + 1) [] in
-  suffix.(k) <- [ (Bits.empty width, 1, [||]) ];
-  let cur = Array.make k 0 in
-  for m = k - 1 downto 0 do
-    let acc = H.create 256 in
-    let rec walk j sig_ mult rep_rev touched =
-      if Int.equal j k then begin
-        bump ();
-        merge_into acc sig_ mult (rep_of rep_rev (j - m) [||])
-      end
-      else if Int.equal (touched land suffix_mask.(j)) 0 then begin
-        Obs.Counter.add c_kary_collapsed 1;
-        List.iter
-          (fun (s, c, srep) ->
-            bump ();
-            merge_into acc (Bits.union sig_ s) (mult * c) (rep_of rep_rev (j - m) srep))
-          suffix.(j)
-      end
-      else
-        Array.iteri
-          (fun bidx b ->
-            let sig' =
-              List.fold_left
-                (fun s (i, base) ->
-                  if i >= m then Bits.union s (block_sig i cur.(i) j bidx base)
-                  else s)
-                sig_ into.(j)
-            in
-            cur.(j) <- bidx;
-            walk (j + 1) sig' (mult * b.multiplicity) (b.first_row :: rep_rev)
-              (touched lor touch.(j).(bidx)))
-          profs.(j)
-    in
-    Array.iteri
-      (fun aidx a ->
-        cur.(m) <- aidx;
-        walk (m + 1) (Bits.empty width) a.multiplicity [ a.first_row ]
-          touch.(m).(aidx))
-      profs.(m);
-    suffix.(m) <- H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc []
-  done;
-  Obs.Counter.add c_kary_work !work;
-  of_signature_list ~relations:rels omega suffix.(0)
-
-(* Arity picks the builder: the kernel handles exactly one relation
-   pair (whose only possible edge set is the pair itself), the walk any
-   longer list. *)
+(* Profiles of every relation, then the core.  The span keeps the
+   historical name, which traces and the wire benchmark read. *)
 let build ?(limit = default_kary_limit) ?edges rels =
   let rels = Array.of_list rels in
   check_relations ~entry:"Universe.build" rels;
   let omega = omega_of ?edges rels in
-  match rels with
-  | [| r; p |] -> build_pair omega r p
-  | _ -> build_walk ~limit omega rels
+  Obs.span "universe.build_quotient" @@ fun () ->
+  let sizes = Array.map Relation.cardinality rels in
+  let dict = Dict.create ~size:(Array.fold_left ( + ) 0 sizes) () in
+  let profs = Array.map (stream_profiles dict) rels in
+  let d = Array.map Array.length profs in
+  let n_pairs = Array.fold_left ( * ) 1 d in
+  Obs.Counter.add c_dict_values (Dict.size dict);
+  Obs.Counter.add c_profiles_r d.(0);
+  Obs.Counter.add c_profiles_p (Array.fold_left ( + ) 0 d - d.(0));
+  Obs.Counter.add c_profile_pairs n_pairs;
+  Obs.Counter.add c_pairs_skipped (Array.fold_left ( * ) 1 sizes - n_pairs);
+  let limit = if Array.length rels > 2 then limit else max_int in
+  classes_of ~limit ~n_codes:(Dict.size dict) omega profs
+  |> of_signature_list ~relations:rels omega
 
 (* Approximate universe for products too large to scan (the paper's §1:
    "the database instances may be too big to be skimmed"): draw [tuples]
@@ -603,7 +575,10 @@ let build_sampled prng ~tuples rels =
     for d = 0 to k - 1 do
       row_tuples.(d) <- Relation.row rels.(d) rep.(d)
     done;
-    merge_into acc (Tsig.of_ktuples omega row_tuples) 1 rep
+    let s = Tsig.of_ktuples omega row_tuples in
+    match H.find_opt acc s with
+    | Some (c, rep') -> H.replace acc s (c + 1, rep_min rep rep')
+    | None -> H.add acc s (1, rep)
   done;
   of_signature_list ~relations:rels omega
     (H.fold (fun s (c, r) l -> (s, c, r) :: l) acc [])
@@ -617,13 +592,13 @@ let build_sampled prng ~tuples rels =
 
      U_new  =  U_old  −  (removed rows × partners)  +  (added rows × partners)
 
-   Each contribution is computed through the same profile quotient the
-   builders use — removed/added rows group into profiles, partners group
-   into profiles, and one signature per distinct-profile combination
-   carries the product of multiplicities.  A batch of b changed rows
-   against partners with d distinct profiles costs O(rows) integer
-   re-grouping plus O(b_profiles · d) signatures, against the builder's
-   O(d_R · d_P) — the updates/s gap `bench churn` measures.
+   Each contribution is one call of [classes_of], the builders' core,
+   with the changed relation's slot holding the profiles of its removed
+   (or added) rows and every other slot its partners' profiles.  A batch
+   of b changed rows against partners with d distinct profiles costs
+   O(rows) integer re-grouping plus the core's walk over b_profiles × d,
+   which pays only for the pairs sharing a code — the updates/s gap
+   `bench churn` measures.
 
    Representatives stay lexicographically smallest:
    - survivors renumber monotonically (new = old − #removed below), so a
@@ -631,12 +606,10 @@ let build_sampled prng ~tuples rels =
    - added combinations min-merge their candidate vectors in, and a
      signature unseen before can only arise from added rows, so minted
      classes take the add-side minimum;
-   - a class whose rep row was deleted is "damaged": a targeted repair
-     pass re-scans all profile combinations but merges reps only for
-     damaged signatures — one signature phase, no re-encoding, and only
-     when a deletion actually hit a representative.  On k = 2 the pass
-     is [binary_kernel] over the post-delta profiles, so it pays for the
-     matching pairs only, like a fresh [build].
+   - a class whose rep row was deleted is "damaged": a repair pass runs
+     the core over the post-delta profiles, whose class reps are the
+     minimum over every member, and each damaged class takes its rep
+     from there — only when a deletion actually hit a representative.
 
    Classes whose multiplicity reaches zero retire; any signature going
    negative, or a remove that matches no row, raises [Invalid_argument].
@@ -708,26 +681,6 @@ let apply_delta t deltas =
       H.replace tbl c.signature
         { a_count = c.count; a_rep = Some (Array.copy c.rep) })
     t.classes;
-  (* Enumerate distinct-profile combinations with relation [ridx] pinned
-     to [dprof]; [f] receives the code vectors, the multiplicity product
-     and the first-row vector (a fresh candidate rep must copy it). *)
-  let with_combos profs ridx dprof f =
-    let vecs = Array.make k [||] and frows = Array.make k 0 in
-    vecs.(ridx) <- dprof.codes;
-    frows.(ridx) <- dprof.first_row;
-    let rec go j mult =
-      if Int.equal j k then f vecs mult frows
-      else if Int.equal j ridx then go (j + 1) mult
-      else
-        Array.iter
-          (fun p ->
-            vecs.(j) <- p.codes;
-            frows.(j) <- p.first_row;
-            go (j + 1) (mult * p.multiplicity))
-          profs.(j)
-    in
-    go 0 dprof.multiplicity
-  in
   let step (ridx, d) =
     if ridx < 0 || ridx >= k then
       invalid_arg "Universe.apply_delta: no such relation";
@@ -748,23 +701,26 @@ let apply_delta t deltas =
           end)
         old_codes;
       Array.iteri (fun i cv -> new_codes.(survivors + i) <- cv) add_codes;
+      (* The classes of the product with relation [ridx]'s slot holding
+         [slot] and every other slot its current profiles. *)
       let partner_profs =
         Array.mapi
           (fun ji cm -> if Int.equal ji ridx then [||] else group_codes cm)
           codes
       in
+      let classes_with slot =
+        let profs = Array.copy partner_profs in
+        profs.(ridx) <- slot;
+        classes_of ~n_codes:(Dict.size dict) t.omega profs
+      in
       (* minus: removed rows re-join into profile groups and decrement *)
-      let xprofs = group_codes (Array.map (fun i -> old_codes.(i)) removed) in
-      Array.iter
-        (fun xp ->
-          with_combos partner_profs ridx xp (fun vecs mult _frows ->
-              let s = Tsig.of_kcodes t.omega vecs in
-              match H.find_opt tbl s with
-              | Some a when a.a_count >= mult -> a.a_count <- a.a_count - mult
-              | Some _ | None ->
-                  invalid_arg
-                    "Universe.apply_delta: delta inconsistent with the universe"))
-        xprofs;
+      List.iter
+        (fun (s, count, _) ->
+          match H.find_opt tbl s with
+          | Some a when a.a_count >= count -> a.a_count <- a.a_count - count
+          | Some _ | None ->
+              invalid_arg "Universe.apply_delta: delta inconsistent with the universe")
+        (classes_with (group_codes (Array.map (fun i -> old_codes.(i)) removed)));
       (* retire emptied classes before adds can re-mint their signature *)
       let retired =
         H.fold (fun s a acc -> if Int.equal a.a_count 0 then s :: acc else acc)
@@ -783,57 +739,26 @@ let apply_delta t deltas =
                 | None -> a.a_rep <- None))
           tbl;
       (* plus: added rows land in existing classes or mint new ones *)
-      let aprofs =
-        Array.map
-          (fun p -> { p with first_row = survivors + p.first_row })
-          (group_codes add_codes)
-      in
-      Array.iter
-        (fun ap ->
-          with_combos partner_profs ridx ap (fun vecs mult frows ->
-              let s = Tsig.of_kcodes t.omega vecs in
-              match H.find_opt tbl s with
-              | Some a ->
-                  a.a_count <- a.a_count + mult;
-                  (match a.a_rep with
-                  | Some rep -> a.a_rep <- Some (rep_min rep (Array.copy frows))
-                  | None -> ())
-              | None ->
-                  H.replace tbl s
-                    { a_count = mult; a_rep = Some (Array.copy frows) }))
-        aprofs;
-      (* targeted rep repair: one signature pass over all combinations,
-         merging only damaged signatures *)
-      let damaged = H.create 8 in
-      H.iter
-        (fun s a -> if Option.is_none a.a_rep then H.replace damaged s ())
-        tbl;
-      if H.length damaged > 0 then begin
-        let all_profs = Array.copy partner_profs in
-        all_profs.(ridx) <- group_codes new_codes;
-        let repair s rep =
-          if H.mem damaged s then
+      List.iter
+        (fun (s, count, rep) ->
+          match H.find_opt tbl s with
+          | Some a ->
+              a.a_count <- a.a_count + count;
+              Option.iter (fun rep' -> a.a_rep <- Some (rep_min rep' rep)) a.a_rep
+          | None -> H.replace tbl s { a_count = count; a_rep = Some rep })
+        (classes_with
+           (Array.map
+              (fun p -> { p with first_row = survivors + p.first_row })
+              (group_codes add_codes)));
+      (* rep repair: damaged classes take the post-delta minimum *)
+      if H.fold (fun _ a damaged -> damaged || Option.is_none a.a_rep) tbl false
+      then
+        List.iter
+          (fun (s, _, rep) ->
             match H.find_opt tbl s with
-            | Some ({ a_rep = Some rep'; _ } as a) -> a.a_rep <- Some (rep_min rep' rep)
             | Some ({ a_rep = None; _ } as a) -> a.a_rep <- Some rep
-            | None -> ()
-        in
-        if Int.equal k 2 then
-          (* The kernel's class reps are already the minimum over every
-             member, so each damaged class takes its rep directly. *)
-          List.iter
-            (fun (s, _, rep) -> repair s rep)
-            (binary_kernel ~n_codes:(Dict.size dict)
-               ~m:(Omega.arity_at t.omega 1) ~width:(Omega.width t.omega)
-               all_profs.(0) all_profs.(1))
-        else
-          Array.iter
-            (fun p0 ->
-              with_combos all_profs 0 p0 (fun vecs _mult frows ->
-                  let s = Tsig.of_kcodes t.omega vecs in
-                  repair s (Array.copy frows)))
-            all_profs.(0)
-      end;
+            | Some _ | None -> ())
+          (classes_with (group_codes new_codes));
       codes.(ridx) <- new_codes;
       (* The relation update comes last, after the class arithmetic has
          validated the delta: on a paged backend this mutates the backing

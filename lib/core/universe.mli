@@ -15,7 +15,7 @@ type cls = {
 
 type t
 
-(** Raised by {!build} when the k ≥ 3 walk exceeds its work limit — the
+(** Raised by {!build} when a k ≥ 3 walk exceeds its work limit — the
     typed refusal for products whose quotient is still too large to
     enumerate. *)
 exception Kary_too_large of { work : int; limit : int }
@@ -37,21 +37,20 @@ exception Kary_too_large of { work : int; limit : int }
     on it unchanged.  Raises [Invalid_argument] on an invalid edge
     set. *)
 
-(** The quotient of R_0 × … × R_{k-1}.  Interns every cell into a shared
-    {!Jqi_relational.Dict} code space and groups each relation's rows by
-    code vector, then:
-    - at k = 2, runs the inverted pair kernel (span
-      [universe.build_quotient]): P's profiles are indexed by code, each
-      R-profile follows the postings of its codes, and only profile
-      pairs matching at least one attribute are looked up — the rest fall
-      into the empty-signature class by arithmetic.  Cost
-      O((|R|+|P|)·arity + postings visited + touched pairs · words);
-    - at k ≥ 3, runs a trie walk over distinct-profile k-tuples (span
-      [universe.build_kary]) that folds disconnected suffixes in via
-      precomputed suffix universes and caches the block signatures of
-      the edges.
-      Raises {!Kary_too_large} when the walk exceeds [limit] (default
-      2·10⁷) class merges; [limit] has no effect at k = 2.
+(** The quotient of R_0 × … × R_{k-1} (span [universe.build_quotient]
+    at every k).  Interns every cell into a shared
+    {!Jqi_relational.Dict} code space, groups each relation's rows by
+    code vector, and runs one trie walk over distinct-profile prefixes.
+    Each level indexes its relation's profiles by code and follows the
+    postings of the prefix's codes along the edges into it, so only
+    profiles sharing a code with the prefix are touched.  At the last
+    level each touched profile is one class lookup and all untouched
+    ones fall into the prefix's class by arithmetic; disconnected
+    suffixes fold in via precomputed suffix universes.  At k = 2 the
+    last level is the whole walk: cost
+    O((|R|+|P|)·arity + postings visited + touched pairs · words).
+    Raises {!Kary_too_large} when a k ≥ 3 walk exceeds [limit] (default
+    2·10⁷) class merges; [limit] has no effect at k = 2.
 
     Identical output to {!build_kary_naive}: same classes and counts, and
     each representative is the lexicographically smallest member row
@@ -62,7 +61,7 @@ val build :
 
 (** The reference per-pair scan of R × P: one [Tsig.of_tuples] call per
     tuple, O(|R|·|P|·|Ω|).  Kept as the executable definition and the
-    differential oracle for the k = 2 kernel. *)
+    differential oracle for {!build} at k = 2. *)
 val build_naive : Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
 
 (** The reference k-way scan — one signature per raw tuple of ∏ R_i.
@@ -102,8 +101,10 @@ val of_signature_list :
     groups and decrement class multiplicities (classes reaching zero
     retire), added rows land in an existing signature class or mint a
     new one, and representatives are kept lexicographically smallest by
-    min-merge — with a targeted repair pass when a deletion hits a
-    representative row.  The result is {e byte-identical} to a
+    min-merge — with a repair pass when a deletion hits a
+    representative row.  Each pass is one run of {!build}'s walk, with
+    relation [i]'s removed, added or post-delta profiles in its slot,
+    and none of them is subject to a work limit.  The result is {e byte-identical} to a
     from-scratch {!build} over the post-delta relations
     (same classes, counts and representatives; pinned differentially in
     test/test_churn.ml), at a per-batch cost proportional to the

@@ -68,17 +68,15 @@ let intern_delta t (d : Delta.t) = Array.map (encode_row t) d.Delta.adds
 
 (* Streaming row-major encoding.  The in-memory arm interns cell by
    cell, exactly like [encode_row] over [Relation.rows] used to.  The
-   paged arm with coded access avoids re-hashing every cell: the
-   store's codes are dense in first-occurrence order, which IS
-   row-major first-sight order, so interning the store's value list in
-   code order performs the same sequence of [code] calls as a
+   paged arm uses the store's coded access to avoid re-hashing every
+   cell: the store's codes are dense in first-occurrence order, which
+   IS row-major first-sight order, so interning the store's value list
+   in code order performs the same sequence of [code] calls as a
    row-major scan would — the shared dictionary ends up bit-identical,
    and each row then translates through a plain array lookup. *)
 let iter_encoded t rel f =
   match Relation.backend rel with
-  | Relation.Backend.Paged
-      { Relation.Backend.coded = Some c; n_rows = _; get_row = _;
-        iter_rows = _; describe = _; apply_delta = _ } ->
+  | Relation.Backend.Paged { Relation.Backend.coded = c; _ } ->
       let translate =
         Array.init c.Relation.Backend.distinct (fun fc ->
             code t (c.Relation.Backend.value fc))
@@ -89,10 +87,7 @@ let iter_encoded t rel f =
             codes.(k) <- (if fc < 0 then no_code else translate.(fc))
           done;
           f i codes)
-  | Relation.Backend.Mem _
-  | Relation.Backend.Paged
-      { Relation.Backend.coded = None; n_rows = _; get_row = _;
-        iter_rows = _; describe = _; apply_delta = _ } ->
+  | Relation.Backend.Mem _ ->
       let buf = Array.make (Relation.arity rel) no_code in
       Relation.iteri
         (fun i row ->

@@ -23,9 +23,9 @@ module Backend = struct
     n_rows : int;
     get_row : int -> Tuple.t;
     iter_rows : (int -> Tuple.t -> unit) -> unit;
-    coded : coded option;
+    coded : coded;
     describe : string;
-    apply_delta : (adds:Tuple.t array -> removed:int array -> paged) option;
+    apply_delta : adds:Tuple.t array -> removed:int array -> paged;
   }
 
   type t = Mem of Tuple.t array | Paged of paged
@@ -164,13 +164,10 @@ let apply_delta t (d : Delta.t) =
   Delta.check_arity (Schema.arity t.schema) d;
   let removed = resolve_removes t d in
   match t.backend with
-  | Backend.Paged { Backend.apply_delta = Some f; _ } ->
-      let p = f ~adds:d.Delta.adds ~removed in
-      { t with backend = Backend.Paged p }
-  | Backend.Mem _ | Backend.Paged _ ->
-      (* Mem, or a paged store without in-place delta support: build the
-         surviving rows ++ adds as a fresh in-memory backend. *)
-      let old_rows = rows t in
+  | Backend.Paged p ->
+      { t with backend = Backend.Paged (p.Backend.apply_delta ~adds:d.Delta.adds ~removed) }
+  | Backend.Mem old_rows ->
+      (* The surviving rows ++ adds as a fresh in-memory backend. *)
       let n = Array.length old_rows in
       let keep = Array.make n true in
       Array.iter (fun i -> keep.(i) <- false) removed;

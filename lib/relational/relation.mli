@@ -31,16 +31,14 @@ module Backend : sig
     n_rows : int;
     get_row : int -> Tuple.t;
     iter_rows : (int -> Tuple.t -> unit) -> unit;
-    coded : coded option;
+    coded : coded;
     describe : string;
-    apply_delta : (adds:Tuple.t array -> removed:int array -> paged) option;
-        (** In-place churn support: [f ~adds ~removed] deletes the rows at
-            the (sorted ascending, pre-delta) indexes [removed] from the
+    apply_delta : adds:Tuple.t array -> removed:int array -> paged;
+        (** In-place churn: [f ~adds ~removed] deletes the rows at the
+            (sorted ascending, pre-delta) indexes [removed] from the
             store, appends [adds] after the survivors, and returns a fresh
             [paged] view of the mutated store.  Destructive — earlier
-            views over the same store are invalidated.  When [None],
-            {!Relation.apply_delta} falls back to materializing a [Mem]
-            relation. *)
+            views over the same store are invalidated. *)
   }
 
   type t = Mem of Tuple.t array | Paged of paged
@@ -110,10 +108,8 @@ val resolve_removes : t -> Delta.t -> int array
 (** Apply one churn batch: the removed rows disappear (survivors keep
     their relative order) and the added rows are appended after them.
     On [Mem] this builds a fresh backing array, leaving the input value
-    untouched.  On [Paged] stores that support it the store is mutated
-    {e in place} (earlier views over the same store are invalidated);
-    stores without delta support fall back to a materialized [Mem]
-    result.  Raises [Invalid_argument] on an arity-mismatched row or an
+    untouched.  On [Paged] the store is mutated {e in place} (earlier
+    views over the same store are invalidated).  Raises [Invalid_argument] on an arity-mismatched row or an
     unmatched remove. *)
 val apply_delta : t -> Delta.t -> t
 

@@ -369,18 +369,16 @@ let rec paged_backend t =
     get_row = (fun i -> get_row t i);
     iter_rows = (fun f -> iter_rows t f);
     coded =
-      Some
-        {
-          Relation.Backend.distinct = distinct_values t;
-          value = (fun c -> Vec.get t.values c);
-          iter_codes = (fun f -> iter_codes t f);
-        };
+      {
+        Relation.Backend.distinct = distinct_values t;
+        value = (fun c -> Vec.get t.values c);
+        iter_codes = (fun f -> iter_codes t f);
+      };
     describe = "paged:" ^ path t;
     apply_delta =
-      Some
-        (fun ~adds ~removed ->
-          apply_delta t ~adds ~removed;
-          paged_backend t);
+      (fun ~adds ~removed ->
+        apply_delta t ~adds ~removed;
+        paged_backend t);
   }
 
 let relation t =

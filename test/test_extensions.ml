@@ -1,5 +1,5 @@
 (* Extension features on the core: majority-vote oracles, the hybrid
-   strategy, sampled universes, query-by-output. *)
+   strategy, sampled universes. *)
 
 open Fixtures
 module Bits = Jqi_util.Bits
@@ -9,7 +9,6 @@ module Strategy = Jqi_core.Strategy
 module Oracle = Jqi_core.Oracle
 module Inference = Jqi_core.Inference
 module Sample = Jqi_core.Sample
-module Qbe = Jqi_core.Qbe
 module Omega = Jqi_core.Omega
 
 (* ------------------------- majority oracle ------------------------ *)
@@ -136,68 +135,6 @@ let test_sampled_universe_validation () =
     (try ignore (Universe.build_sampled prng ~tuples:0 [ r0; p0 ]); false
      with Invalid_argument _ -> true)
 
-(* ----------------------------- QBE -------------------------------- *)
-
-let test_qbe_basic () =
-  (* Example 3.1's positives {(t2,t'2), (t4,t'1)} without interaction. *)
-  let result =
-    Qbe.infer universe0 ~positives:[ d0 (2, 2); d0 (4, 1) ] ~negatives:[]
-  in
-  Alcotest.check bits_testable "θ0" (pred0 [ (0, 0); (1, 2) ]) result.predicate;
-  Alcotest.(check bool) "consistent" true result.consistent;
-  (* θ0 selects exactly the two example classes: nothing surprising. *)
-  Alcotest.(check (list int)) "no surprises" [] result.surprise_classes;
-  Alcotest.(check int) "surprise count" 0 (Qbe.surprise_tuples universe0 result)
-
-let test_qbe_surprise () =
-  (* A single positive under-specifies the query: T(t2,t'1) = {(A1,B3)}
-     selects four more tuples the user never asked for. *)
-  let result = Qbe.infer universe0 ~positives:[ d0 (2, 1) ] ~negatives:[] in
-  Alcotest.(check int) "four surprises" 4
-    (List.length result.surprise_classes);
-  Alcotest.(check int) "selected = examples + surprises"
-    (List.length result.selected_classes)
-    (1 + List.length result.surprise_classes)
-
-let test_qbe_inconsistent () =
-  let result =
-    Qbe.infer universe0 ~positives:[ d0 (1, 2); d0 (1, 3) ]
-      ~negatives:[ d0 (3, 1) ]
-  in
-  Alcotest.(check bool) "inconsistent detected" false result.consistent
-
-let test_qbe_matches_interactive () =
-  (* QBE over the full honest labeling equals the interactive result. *)
-  let goal = pred0 [ (1, 2) ] in
-  let positives =
-    List.filter
-      (fun ij -> Jqi_core.Tsig.selects goal (Universe.signature universe0 (class0 ij)))
-      [ (1, 1); (1, 2); (1, 3); (2, 1); (2, 2); (2, 3);
-        (3, 1); (3, 2); (3, 3); (4, 1); (4, 2); (4, 3) ]
-    |> List.map d0
-  in
-  let qbe = Qbe.infer universe0 ~positives ~negatives:[] in
-  let interactive = Inference.run universe0 Strategy.td (Oracle.honest ~goal) in
-  Alcotest.(check bool) "same instance-equivalent predicate" true
-    (Universe.equivalent universe0 qbe.predicate interactive.predicate)
-
-(* Qbe examples are row pairs: a k = 3 universe is refused for its
-   arity, not mistaken for one without relations. *)
-let test_qbe_rejects_three_relations () =
-  let u = Universe.build [ r0; p0; r0 ] in
-  Alcotest.check_raises "three relations"
-    (Invalid_argument
-       "Qbe.infer: examples are row pairs, but the universe has 3 relations")
-    (fun () -> ignore (Qbe.infer u ~positives:[ (0, 0) ] ~negatives:[]))
-
-let test_qbe_rejects_no_relations () =
-  let u =
-    Universe.of_signature_list omega0 [ (Omega.empty omega0, 1, [| 0; 0 |]) ]
-  in
-  Alcotest.check_raises "no relations"
-    (Invalid_argument "Qbe.infer: universe has no backing relations")
-    (fun () -> ignore (Qbe.infer u ~positives:[ (0, 0) ] ~negatives:[]))
-
 let suite =
   [
     Alcotest.test_case "majority validation" `Quick test_majority_validation;
@@ -209,14 +146,6 @@ let suite =
     Alcotest.test_case "sampled universe shape" `Quick test_sampled_universe_shape;
     Alcotest.test_case "sampled universe inference" `Quick test_sampled_universe_inference;
     Alcotest.test_case "sampled universe validation" `Quick test_sampled_universe_validation;
-    Alcotest.test_case "qbe basic" `Quick test_qbe_basic;
-    Alcotest.test_case "qbe surprise reporting" `Quick test_qbe_surprise;
-    Alcotest.test_case "qbe inconsistency" `Quick test_qbe_inconsistent;
-    Alcotest.test_case "qbe matches interactive" `Quick test_qbe_matches_interactive;
-    Alcotest.test_case "qbe rejects a 3-relation universe" `Quick
-      test_qbe_rejects_three_relations;
-    Alcotest.test_case "qbe rejects a universe without relations" `Quick
-      test_qbe_rejects_no_relations;
     Alcotest.test_case "hybrid counts each choice once" `Quick
       test_hybrid_counts_each_choice_once;
   ]

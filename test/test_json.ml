@@ -211,6 +211,24 @@ let test_session_v1_fixture_loads () =
   Alcotest.(check int) "both answers replayed" 2
     (State.n_interactions loaded.Session.state)
 
+let test_session_v2_fixture_loads () =
+  (* The checked-in v2 file, written by the last build whose binary
+     sessions wrote v2: strategy, pending question and signatures. *)
+  let loaded = Session.load_full "data/session_v2.json" universe0 in
+  Alcotest.(check (option string)) "strategy" (Some "TD") loaded.Session.strategy;
+  Alcotest.(check (option (array int))) "pending rows" (Some [| 2; 2 |])
+    loaded.Session.pending;
+  let st = session_state () in
+  Alcotest.check bits_testable "replays to the same T(S+)" (State.tpos st)
+    (State.tpos loaded.Session.state);
+  Alcotest.(check int) "both answers replayed" 2
+    (State.n_interactions loaded.Session.state);
+  Alcotest.(check (option int)) "pending resolves by its signature"
+    (Universe.find_class universe0
+       (Jqi_core.Tsig.of_tuples omega0 (Relation.row r0 2) (Relation.row p0 2)))
+    (Session.pending_class ?signature:loaded.Session.pending_sig universe0
+       loaded.Session.state loaded.Session.pending)
+
 let test_session_version_errors () =
   let msg =
     corrupt_message (fun () ->
@@ -299,6 +317,7 @@ let suite =
     Alcotest.test_case "session implied labels" `Quick test_session_implied_labels_ok;
     Alcotest.test_case "session v2 roundtrip" `Quick test_session_v2_roundtrip;
     Alcotest.test_case "session v1 fixture loads" `Quick test_session_v1_fixture_loads;
+    Alcotest.test_case "session v2 fixture loads" `Quick test_session_v2_fixture_loads;
     Alcotest.test_case "session version errors" `Quick test_session_version_errors;
     Alcotest.test_case "session v2 field validation" `Quick test_session_v2_field_validation;
     Alcotest.test_case "session stale pending dropped" `Quick test_session_stale_pending_dropped;

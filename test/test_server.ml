@@ -1026,7 +1026,7 @@ let test_service_kary_frames_at_k2 () =
       | _ -> Alcotest.fail "save"
     in
     Alcotest.(check (option int))
-      "binary documents stay v2" (Some 2)
+      "binary documents are v3" (Some 3)
       (Option.bind (Json.member "version" doc) Json.to_int);
     let session =
       opened
