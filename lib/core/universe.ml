@@ -317,7 +317,8 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
             Array.iter
               (fun p ->
                 Array.iter
-                  (fun c -> if c >= 0 then code_rels.(c) <- code_rels.(c) lor (1 lsl i))
+                  (fun c ->
+                    if c >= 0 then code_rels.(c) <- code_rels.(c) lor (1 lsl i))
                   p.codes)
               ps)
           profs;
@@ -394,7 +395,8 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
         incr work;
         if !work > limit then raise (Kary_too_large { work = !work; limit });
         cl.k_count <- cl.k_count + count;
-        if rep_below rows m (j - m) tail cl.k_rep 0 then cl.k_rep <- rep_cand rows m j tail
+        if rep_below rows m (j - m) tail cl.k_rep 0 then
+          cl.k_rep <- rep_cand rows m j tail
       in
       (* The same, for the class whose signature is in [key]. *)
       let merge count j tail =
@@ -437,7 +439,8 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
             done;
             rows.(j) <- profs.(j).(!b).first_row;
             match !bulk_cl with
-            | Some cl when Profile.equal src bulk_sig -> absorb cl (mult * untouched) k [||]
+            | Some cl when Profile.equal src bulk_sig ->
+                absorb cl (mult * untouched) k [||]
             | Some _ | None ->
                 Array.blit src 0 key 0 words;
                 Array.blit src 0 bulk_sig 0 words;

@@ -165,7 +165,8 @@ let apply_delta t (d : Delta.t) =
   let removed = resolve_removes t d in
   match t.backend with
   | Backend.Paged p ->
-      { t with backend = Backend.Paged (p.Backend.apply_delta ~adds:d.Delta.adds ~removed) }
+      let p = p.Backend.apply_delta ~adds:d.Delta.adds ~removed in
+      { t with backend = Backend.Paged p }
   | Backend.Mem old_rows ->
       (* The surviving rows ++ adds as a fresh in-memory backend. *)
       let n = Array.length old_rows in

@@ -109,8 +109,9 @@ val resolve_removes : t -> Delta.t -> int array
     their relative order) and the added rows are appended after them.
     On [Mem] this builds a fresh backing array, leaving the input value
     untouched.  On [Paged] the store is mutated {e in place} (earlier
-    views over the same store are invalidated).  Raises [Invalid_argument] on an arity-mismatched row or an
-    unmatched remove. *)
+    views over the same store are invalidated).  Raises
+    [Invalid_argument] on an arity-mismatched row or an unmatched
+    remove. *)
 val apply_delta : t -> Delta.t -> t
 
 (** Streaming fingerprint accumulator — the guts of {!fingerprint},
