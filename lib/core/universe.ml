@@ -15,7 +15,6 @@ module Bits = Jqi_util.Bits
 module Obs = Jqi_obs.Obs
 module Dict = Jqi_relational.Dict
 module Relation = Jqi_relational.Relation
-module Tuple = Jqi_relational.Tuple
 module Vec = Jqi_util.Vec
 
 type cls = { signature : Bits.t; count : int; rep : int array }
@@ -334,12 +333,12 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
     in
     let touch_of i a = if i < k - 2 then touch.(i).(a) else 0 in
     (* Level j >= 1's postings, scratch slices, visit stamps and touched
-       profiles; relation 0 is never a level. *)
-    let per_level f = Array.mapi (fun j ps -> if j > 0 then f ps else f [||]) profs in
-    let post = per_level (postings ~n_codes) in
-    let scratch = per_level (fun ps -> Array.make (Array.length ps * words) 0) in
-    let stamp = per_level (fun ps -> Array.make (Array.length ps) (-1)) in
-    let hits = per_level (fun ps -> Array.make (Array.length ps) 0) in
+       profiles; relation 0 is never a level and gets [none]. *)
+    let per_level f none = Array.mapi (fun j ps -> if j > 0 then f ps else none) profs in
+    let post = per_level (postings ~n_codes) { start = [||]; prof = [||]; col = [||] } in
+    let scratch = per_level (fun ps -> Array.make (Array.length ps * words) 0) [||] in
+    let stamp = per_level (fun ps -> Array.make (Array.length ps) (-1)) [||] in
+    let hits = per_level (fun ps -> Array.make (Array.length ps) 0) [||] in
     let visits = Array.make k 0 in
     let rows_of =
       Array.map (Array.fold_left (fun s p -> s + p.multiplicity) 0) profs
@@ -389,31 +388,20 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
     let suffix = Array.make k [] in
     let stage m =
       let tbl = W.create 256 in
-      (* Merge into [cl] a class member of multiplicity [count] whose
-         candidate representative is rows.(m..j-1) ++ tail. *)
-      let absorb cl count j tail =
+      (* Merge into the class whose signature is in [key] a member of
+         multiplicity [count] whose candidate representative is
+         rows.(m..j-1) ++ tail. *)
+      let merge count j tail =
         incr work;
         if !work > limit then raise (Kary_too_large { work = !work; limit });
-        cl.k_count <- cl.k_count + count;
-        if rep_below rows m (j - m) tail cl.k_rep 0 then
-          cl.k_rep <- rep_cand rows m j tail
-      in
-      (* The same, for the class whose signature is in [key]. *)
-      let merge count j tail =
         match W.find_opt tbl key with
         | Some cl ->
-            absorb cl count j tail;
-            cl
+            cl.k_count <- cl.k_count + count;
+            if rep_below rows m (j - m) tail cl.k_rep 0 then
+              cl.k_rep <- rep_cand rows m j tail
         | None ->
-            let cl = { k_count = 0; k_rep = rep_cand rows m j tail } in
-            W.add tbl (Array.copy key) cl;
-            absorb cl count j tail;
-            cl
+            W.add tbl (Array.copy key) { k_count = count; k_rep = rep_cand rows m j tail }
       in
-      (* The last bulk merge's prefix signature and class: consecutive
-         prefixes often share their signature (at k = 2 it is always
-         empty), and then the bulk merge needs no probe. *)
-      let bulk_sig = Array.make words 0 and bulk_cl = ref None in
       let rec level j mult touched =
         let src = sig_at.(j) and sc = scratch.(j) in
         if Int.equal j last then begin
@@ -429,7 +417,7 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
               sc.(base + w) <- 0
             done;
             rows.(j) <- p.first_row;
-            ignore (merge (mult * p.multiplicity) k [||] : kclass)
+            merge (mult * p.multiplicity) k [||]
           done;
           let untouched = rows_of.(j) - !touched_rows in
           if untouched > 0 then begin
@@ -438,13 +426,8 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
               incr b
             done;
             rows.(j) <- profs.(j).(!b).first_row;
-            match !bulk_cl with
-            | Some cl when Profile.equal src bulk_sig ->
-                absorb cl (mult * untouched) k [||]
-            | Some _ | None ->
-                Array.blit src 0 key 0 words;
-                Array.blit src 0 bulk_sig 0 words;
-                bulk_cl := Some (merge (mult * untouched) k [||])
+            Array.blit src 0 key 0 words;
+            merge (mult * untouched) k [||]
           end
         end
         else if Int.equal (touched land ((1 lsl k) - (1 lsl j))) 0 then begin
@@ -454,7 +437,7 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
               for w = 0 to words - 1 do
                 key.(w) <- src.(w) lor sw.(w)
               done;
-              ignore (merge (mult * c) j srep : kclass))
+              merge (mult * c) j srep)
             suffix.(j)
         end
         else begin

@@ -104,12 +104,13 @@ val of_signature_list :
     min-merge — with a repair pass when a deletion hits a
     representative row.  Each pass is one run of {!build}'s walk, with
     relation [i]'s removed, added or post-delta profiles in its slot,
-    and none of them is subject to a work limit.  The result is {e byte-identical} to a
-    from-scratch {!build} over the post-delta relations
-    (same classes, counts and representatives; pinned differentially in
-    test/test_churn.ml), at a per-batch cost proportional to the
-    changed rows' profile combinations rather than the whole product —
-    `bench churn` measures the gap and the crossover batch size.
+    and none of them is subject to a work limit.  The result is
+    {e byte-identical} to a from-scratch {!build} over the post-delta
+    relations (same classes, counts and representatives; pinned
+    differentially in test/test_churn.ml), at a per-batch cost
+    proportional to the changed rows' profile combinations rather than
+    the whole product — `bench churn` measures the gap and the
+    crossover batch size.
 
     A signature-interning cache (dictionary + per-row code vectors)
     rides along the universe chain, so only the first delta after a

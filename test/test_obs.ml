@@ -211,6 +211,56 @@ let test_inference_unchanged_by_obs () =
   Alcotest.(check int) "questions counter = interactions" on.Inference.n_interactions
     (Obs.Counter.find "oracle.questions")
 
+(* Universe.build alone reports the per-build counters, which the wire
+   benchmark divides by its count of build spans, at every k; the walks
+   run by apply_delta add to none of them and open no build span. *)
+let test_universe_build_counters () =
+  with_obs @@ fun () ->
+  let module Relation = Jqi_relational.Relation in
+  let module Tuple = Jqi_relational.Tuple in
+  (* Example 2.1's R0 with its first row twice: 5 rows, 4 profiles. *)
+  let r =
+    Relation.of_list ~name:"R" ~schema:(Fixtures.int_schema [ "A1"; "A2" ])
+      (Tuple.ints [ 0; 1 ] :: Relation.to_list Fixtures.r0)
+  in
+  let counts () =
+    List.map Obs.Counter.find
+      [
+        "universe.dict_values";
+        "universe.profiles_r";
+        "universe.profiles_p";
+        "universe.profile_pairs";
+        "universe.pairs_skipped";
+      ]
+  in
+  let builds () =
+    List.fold_left
+      (fun n s ->
+        if String.equal s.Obs.Report.s_name "universe.build_quotient" then
+          n + s.Obs.Report.s_calls
+        else n)
+      0 (Obs.Report.snapshot ()).Obs.Report.spans
+  in
+  let u = Universe.build [ r; Fixtures.p0 ] in
+  Alcotest.(check (list int)) "k = 2: 3 values, 4 × 3 profiles, 15 − 12 skipped"
+    [ 3; 4; 3; 12; 3 ] (counts ());
+  ignore (Universe.build [ r; Fixtures.p0; Fixtures.r0 ] : Universe.t);
+  Alcotest.(check (list int)) "k = 3 adds 3 values, 4 and 3 + 4 profiles, 60 − 48"
+    [ 6; 8; 10; 60; 15 ] (counts ());
+  (* Removing R's row 0 hits representatives, so the repair walk runs
+     beside the remove and add walks. *)
+  let delta adds removes = Jqi_relational.Delta.of_lists ~adds ~removes in
+  ignore
+    (Universe.apply_delta u
+       [
+         (0, delta [ Tuple.ints [ 5; 5 ] ] [ Tuple.ints [ 0; 1 ] ]);
+         (1, delta [ Tuple.ints [ 2; 2; 2 ] ] []);
+       ]
+      : Universe.t);
+  Alcotest.(check (list int)) "apply_delta adds no build counts"
+    [ 6; 8; 10; 60; 15 ] (counts ());
+  Alcotest.(check int) "one build span per build" 2 (builds ())
+
 let suite =
   [
     Alcotest.test_case "counter registry" `Quick test_counter_registry;
@@ -224,4 +274,6 @@ let suite =
     Alcotest.test_case "save_trace parses back" `Quick test_save_trace_parses;
     Alcotest.test_case "report counter/json/render" `Quick test_report_counter_and_json;
     Alcotest.test_case "inference unchanged by obs" `Quick test_inference_unchanged_by_obs;
+    Alcotest.test_case "universe build counters: build only" `Quick
+      test_universe_build_counters;
   ]
