@@ -550,16 +550,20 @@ let run_universe ~full ~seed =
    keys.  Three measurements: (a) the k-ary quotient universe against
    its Cartesian reference (identical classes, large speedup), (b) the
    triejoin evaluator against left-deep hash composition and the naive
-   nested loop (equal multisets, triejoin beating naive), and (c) k-ary
+   nested loop (equal multisets, triejoin beating naive) on the chain and
+   against composition on a cyclic triangle query, and (c) k-ary
    inference convergence under BU/TD/L2S with an honest oracle, over the
    full Ω and over the chain-masked Ω of the join path (Ω bits, classes
    and questions for both).  Results land in BENCH_KARY.json; CI asserts
-   the identity bits, the triejoin-vs-naive speedup and that every run
-   converges. *)
+   the identity bits, the triejoin-vs-naive and triangle speedups and
+   that every run converges. *)
 let run_kary ~full ~seed =
   let module Json = Jqi_util.Json in
   let module Algebra = Jqi_relational.Algebra in
   let module Relation = Jqi_relational.Relation in
+  let module Schema = Jqi_relational.Schema in
+  let module Tuple = Jqi_relational.Tuple in
+  let module Value = Jqi_relational.Value in
   let module Leapfrog = Jqi_relational.Leapfrog in
   let module Ordering = Jqi_relational.Ordering in
   let module Omega = Jqi_core.Omega in
@@ -575,10 +579,10 @@ let run_kary ~full ~seed =
   let rels = [| part; partsupp; supplier |] in
   let rel_list = [ part; partsupp; supplier ] in
   let eqs = [ ((0, 0), (1, 0)); ((1, 1), (2, 0)) ] in
-  let time_best f =
+  let time_best ?(runs = 3) f =
     let best = ref infinity in
     let result = ref None in
-    for _ = 1 to 3 do
+    for _ = 1 to runs do
       let x, dt = Jqi_util.Timer.time f in
       if dt < !best then best := dt;
       result := Some x
@@ -651,6 +655,64 @@ let run_kary ~full ~seed =
     (Array.length tj_rows) (Array.length vars) (tj_s *. 1e3) (comp_s *. 1e3)
     speedup_comp (ref_s *. 1e3) speedup_ref
     (if agree then "multiset-equal" else "DIVERGED");
+  (* (b') a cyclic query, where worst-case optimality should pay: the
+     triangle R(a,b) ⋈ S(b,c) ⋈ T(c,a), all three the edge relation of
+     a skewed graph drawn from the seed — a hub linked both ways to half
+     of n nodes, plus 2n random edges.  Any pairwise plan materializes
+     the hub's ~n²/4 two-paths before the third relation prunes them;
+     triejoin intersects all three relations per variable and never
+     does.  The triangle count is the join's row count: each directed
+     3-cycle once per rotation, with edge multiplicity.  The three
+     evaluators must agree on a 40-node graph (the nested loop is cubic
+     in the edge count); at full size triejoin and compose must agree
+     and are timed best of 5. *)
+  let triangle_eqs =
+    [ ((0, 1), (1, 0)); ((1, 1), (2, 0)); ((2, 1), (0, 0)) ]
+  in
+  let triangle_graph n =
+    let prng = Prng.create (seed + n) in
+    let hub =
+      List.concat_map
+        (fun v -> [ Tuple.ints [ 0; v ]; Tuple.ints [ v; 0 ] ])
+        (List.init (n / 2) (fun i -> i + 1))
+    in
+    let random =
+      List.init (2 * n) (fun _ ->
+          Tuple.ints [ Prng.int prng n; Prng.int prng n ])
+    in
+    let edge =
+      Relation.of_list ~name:"edge"
+        ~schema:(Schema.of_names ~ty:Value.TInt [ "src"; "dst" ])
+        (hub @ random)
+    in
+    [| edge; edge; edge |]
+  in
+  let small = triangle_graph 40 in
+  let small_tj = canon (Leapfrog.join small triangle_eqs) in
+  let tri_reference_agree =
+    rows_agree small_tj (canon (Leapfrog.compose small triangle_eqs))
+    && rows_agree small_tj (canon (Leapfrog.reference small triangle_eqs))
+  in
+  let tri_nodes = if full then 4000 else 2000 in
+  let tri = triangle_graph tri_nodes in
+  let tri_edges = Relation.cardinality tri.(0) in
+  let tri_tj, tri_tj_s =
+    time_best ~runs:5 (fun () -> Leapfrog.join tri triangle_eqs)
+  in
+  let tri_comp, tri_comp_s =
+    time_best ~runs:5 (fun () -> Leapfrog.compose tri triangle_eqs)
+  in
+  let tri_agree = rows_agree (canon tri_tj) (canon tri_comp) in
+  let tri_speedup = tri_comp_s /. tri_tj_s in
+  Printf.printf
+    "  triangle (%d nodes, %d edges, %d triangles):\n\
+    \    triejoin %8.3f ms\n\
+    \    compose  %8.3f ms  (triejoin %.1fx)\n\
+    \    results %s; 40-node graph %s the nested loop\n"
+    tri_nodes tri_edges (Array.length tri_tj) (tri_tj_s *. 1e3)
+    (tri_comp_s *. 1e3) tri_speedup
+    (if tri_agree then "multiset-equal" else "DIVERGED")
+    (if tri_reference_agree then "agrees with" else "DIVERGED from");
   (* (c) inference convergence over the key-chain k-ary universe, once
      with a block for every relation pair and once with the chain's
      adjacent pairs only (the join-path universe). *)
@@ -743,6 +805,18 @@ let run_kary ~full ~seed =
                ("speedup_vs_naive", Json.Num speedup_ref);
                ("speedup_vs_compose", Json.Num speedup_comp);
                ("agree", Json.Bool agree);
+             ] );
+         ( "triangle",
+           Json.Obj
+             [
+               ("nodes", Json.int tri_nodes);
+               ("edges", Json.int tri_edges);
+               ("triangles", Json.int (Array.length tri_tj));
+               ("triejoin_s", Json.Num tri_tj_s);
+               ("compose_s", Json.Num tri_comp_s);
+               ("speedup_vs_compose", Json.Num tri_speedup);
+               ("agree", Json.Bool tri_agree);
+               ("reference_agree", Json.Bool tri_reference_agree);
              ] );
          ("inference", Json.List inference_entries);
          ( "edges",

@@ -19,7 +19,6 @@ let of_lists ~adds ~removes =
   { adds = Array.of_list adds; removes = Array.of_list removes }
 
 let is_empty d = Array.length d.adds = 0 && Array.length d.removes = 0
-let inserts_only d = Array.length d.removes = 0
 let cardinality_shift d = Array.length d.adds - Array.length d.removes
 
 let check_arity arity d =

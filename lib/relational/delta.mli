@@ -15,10 +15,6 @@ val v : adds:Tuple.t array -> removes:Tuple.t array -> t
 val of_lists : adds:Tuple.t list -> removes:Tuple.t list -> t
 val is_empty : t -> bool
 
-(** No removes — the append-only fast path (e.g. incremental
-    fingerprint extension in the server catalog). *)
-val inserts_only : t -> bool
-
 (** [|adds| - |removes|]: how the relation's cardinality changes. *)
 val cardinality_shift : t -> int
 

@@ -188,25 +188,23 @@ let apply_delta t (d : Delta.t) =
    schema, row order and cell values.  Computed over the streaming scan,
    so a paged relation fingerprints straight off its heap file and
    matches the in-memory backend byte for byte. *)
-module Fp = struct
-  type acc = int64
-
+let fingerprint t =
   let feed_byte h b =
     Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) 0x100000001b3L
-
+  in
   let feed_string h s =
     (* Length prefix keeps "ab"+"c" distinct from "a"+"bc". *)
     let h = feed_byte h (String.length s) in
     let h = feed_byte h (String.length s lsr 8) in
     String.fold_left (fun h c -> feed_byte h (Char.code c)) h s
-
+  in
   let feed_int64 h x =
     let h = ref h in
     for shift = 0 to 7 do
       h := feed_byte !h (Int64.to_int (Int64.shift_right_logical x (shift * 8)))
     done;
     !h
-
+  in
   let feed_value h v =
     match v with
     | Value.Null -> feed_byte h 0
@@ -214,23 +212,16 @@ module Fp = struct
     | Value.Int i -> feed_int64 (feed_byte h 2) (Int64.of_int i)
     | Value.Float f -> feed_int64 (feed_byte h 3) (Int64.bits_of_float f)
     | Value.Str s -> feed_string (feed_byte h 4) s
-
-  let feed_row h row = Array.fold_left feed_value h row
-  let feed_rows h rows = Array.fold_left feed_row h rows
-
-  let header t =
-    let h = feed_string 0xcbf29ce484222325L t.name in
+  in
+  let feed_row h row = Array.fold_left feed_value h row in
+  let header =
     List.fold_left
       (fun h (c : Schema.column) ->
         feed_string (feed_string h c.name) (Value.ty_name c.ty))
-      h
+      (feed_string 0xcbf29ce484222325L t.name)
       (Schema.columns t.schema)
-
-  let of_relation t = fold feed_row (header t) t
-  let render h = Printf.sprintf "%016Lx" h
-end
-
-let fingerprint t = Fp.render (Fp.of_relation t)
+  in
+  Printf.sprintf "%016Lx" (fold feed_row header t)
 
 (* Console convenience for the interactive CLI; rendering itself lives in
    Ascii_table, this is the one sanctioned stdout write of the module. *)

@@ -114,25 +114,6 @@ val resolve_removes : t -> Delta.t -> int array
     remove. *)
 val apply_delta : t -> Delta.t -> t
 
-(** Streaming fingerprint accumulator — the guts of {!fingerprint},
-    exposed so the server catalog can {e extend} a cached fingerprint
-    with appended rows in O(|adds|) instead of re-hashing the whole
-    relation.  FNV-1a is sequential, so for an append-only delta
-    [render (feed_rows acc adds)] equals the from-scratch fingerprint of
-    the grown relation, provided [acc] covered the old contents. *)
-module Fp : sig
-  type acc
-
-  (** Accumulator over name, schema and all current rows —
-    [render (of_relation t) = fingerprint t]. *)
-  val of_relation : t -> acc
-
-  (** Extend with rows appended after everything [acc] has seen. *)
-  val feed_rows : acc -> Tuple.t array -> acc
-
-  val render : acc -> string
-end
-
 (** Content fingerprint (FNV-1a 64-bit, rendered as 16 hex digits) over
     name, schema and all cells in row-major order.  Cells are hashed with
     type tags, so renderings that coincide (NULL vs the empty string) do

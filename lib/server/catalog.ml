@@ -5,7 +5,10 @@
    memoized per relation list.  The key is the list of content
    fingerprints, not the names: re-registering "flights" with new rows
    yields a different fingerprint and a fresh build, while two differently
-   registered names over identical content share one universe.
+   registered names over identical content share one universe.  Each
+   name's entry carries its relation's fingerprint, hashed on first use
+   and replaced along with the relation by a delta, so a lookup by name
+   hashes no rows once that relation version has been seen.
 
    Concurrency: the universe cache is sharded by fingerprint-list key
    (one mutex per shard), so sessions over distinct pairs build and look
@@ -32,12 +35,13 @@ type ushard = {
   mutable misses : int [@lint.guarded_by "shards"];
 }
 
+(* Immutable: [fp] memoizes [Relation.fingerprint rel], so each
+   relation version is hashed at most once. *)
+type entry = { rel : Relation.t; fp : string option }
+
 type t = {
   names_mutex : Mutex.t;
-  relations : (string, Relation.t) Hashtbl.t [@lint.guarded_by "names_mutex"];
-  fps : (string, Relation.Fp.acc) Hashtbl.t [@lint.guarded_by "names_mutex"];
-      (* per-name fingerprint accumulators, so append-only deltas bump
-         the fingerprint in O(|adds|) instead of rehashing the relation *)
+  relations : (string, entry) Hashtbl.t [@lint.guarded_by "names_mutex"];
   shards : ushard Shard.t;
 }
 
@@ -45,7 +49,6 @@ let create ?shards () =
   {
     names_mutex = Mutex.create ();
     relations = Hashtbl.create 16;
-    fps = Hashtbl.create 16;
     shards =
       Shard.create ?shards (fun _ ->
           { universes = Hashtbl.create 4; hits = 0; misses = 0 });
@@ -57,37 +60,71 @@ let with_names t f = Mutex.protect t.names_mutex f
 
 let add ?name t rel =
   let name = match name with Some n -> n | None -> Relation.name rel in
-  with_names t (fun () ->
-      Hashtbl.replace t.relations name rel;
-      (* a replaced relation's accumulator is stale; recomputed lazily *)
-      Hashtbl.remove t.fps name)
+  with_names t (fun () -> Hashtbl.replace t.relations name { rel; fp = None })
 
-let find t name = with_names t (fun () -> Hashtbl.find_opt t.relations name)
+let find_entry t name =
+  with_names t (fun () -> Hashtbl.find_opt t.relations name)
+
+let find t name = Option.map (fun e -> e.rel) (find_entry t name)
 
 let names t =
   List.sort String.compare
     (with_names t (fun () ->
          Hashtbl.fold (fun name _ acc -> name :: acc) t.relations []))
 
+(* The entry's fingerprint.  A missing one is hashed outside the lock
+   and published only if [name] still holds the same relation, so a
+   concurrent [add] or delta is never overwritten with a stale entry. *)
+let fingerprint t name { rel; fp } =
+  match fp with
+  | Some fp -> fp
+  | None ->
+      let fp = Relation.fingerprint rel in
+      with_names t (fun () ->
+          match Hashtbl.find_opt t.relations name with
+          | Some e when e.rel == rel ->
+              Hashtbl.replace t.relations name { rel; fp = Some fp }
+          | Some _ | None -> ());
+      fp
+
+(* Resolve catalog names in order; the first unknown name is the error. *)
+let resolve t names =
+  with_names t (fun () ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | name :: rest -> (
+            match Hashtbl.find_opt t.relations name with
+            | Some e -> go ((name, e) :: acc) rest
+            | None -> Error name)
+      in
+      go [] names)
+
 (* The key is the colon-joined fingerprint list, so every arity shares
    one cache and [Universe.build] alone decides how to build a miss. *)
-let universe t rels =
-  let key = String.concat ":" (List.map Relation.fingerprint rels) in
-  Shard.with_key t.shards key (fun shard ->
-      match Hashtbl.find_opt shard.universes key with
-      | Some u ->
-          shard.hits <- shard.hits + 1;
-          Obs.Counter.incr c_hit;
-          (true, u)
-      | None ->
-          shard.misses <- shard.misses + 1;
-          Obs.Counter.incr c_miss;
-          let u =
-            Obs.span ~attrs:[ ("key", key) ] "server.universe_build" (fun () ->
-                Universe.build rels)
-          in
-          Hashtbl.replace shard.universes key u;
-          (false, u))
+let universe t names =
+  match resolve t names with
+  | Error name -> Error name
+  | Ok entries ->
+      let key =
+        String.concat ":" (List.map (fun (n, e) -> fingerprint t n e) entries)
+      in
+      let rels = List.map (fun (_, e) -> e.rel) entries in
+      Ok
+        (Shard.with_key t.shards key (fun shard ->
+             match Hashtbl.find_opt shard.universes key with
+             | Some u ->
+                 shard.hits <- shard.hits + 1;
+                 Obs.Counter.incr c_hit;
+                 (true, u)
+             | None ->
+                 shard.misses <- shard.misses + 1;
+                 Obs.Counter.incr c_miss;
+                 let u =
+                   Obs.span ~attrs:[ ("key", key) ] "server.universe_build"
+                     (fun () -> Universe.build rels)
+                 in
+                 Hashtbl.replace shard.universes key u;
+                 (false, u)))
 
 (* ---- delta-granularity invalidation ---- *)
 
@@ -117,15 +154,10 @@ let rekey ~old_fp ~new_fp key =
        (String.split_on_char ':' key))
 
 let apply_delta t ~name (d : Delta.t) =
-  match with_names t (fun () -> Hashtbl.find_opt t.relations name) with
+  match find_entry t name with
   | None -> None
-  | Some rel ->
-      let old_acc =
-        match with_names t (fun () -> Hashtbl.find_opt t.fps name) with
-        | Some acc -> acc
-        | None -> Relation.Fp.of_relation rel
-      in
-      let old_fp = Relation.Fp.render old_acc in
+  | Some ({ rel; _ } as entry) ->
+      let old_fp = fingerprint t name entry in
       (* Validate up front (read-only): a bad delta must raise before any
          cache entry is evicted or any paged store is touched — the
          patch loop below treats patch failures as evictions, which
@@ -199,11 +231,7 @@ let apply_delta t ~name (d : Delta.t) =
         | Some r -> r
         | None -> Relation.apply_delta rel d
       in
-      let new_acc =
-        if Delta.inserts_only d then Relation.Fp.feed_rows old_acc d.Delta.adds
-        else Relation.Fp.of_relation new_rel
-      in
-      let new_fp = Relation.Fp.render new_acc in
+      let new_fp = Relation.fingerprint new_rel in
       List.iter
         (fun (key, u') ->
           let key' = rekey ~old_fp ~new_fp key in
@@ -211,8 +239,7 @@ let apply_delta t ~name (d : Delta.t) =
               Hashtbl.replace shard.universes key' u'))
         migrated;
       with_names t (fun () ->
-          Hashtbl.replace t.relations name new_rel;
-          Hashtbl.replace t.fps name new_acc);
+          Hashtbl.replace t.relations name { rel = new_rel; fp = Some new_fp });
       Some
         { new_rel; old_fp; new_fp; patched = !patched; dropped = !dropped }
 

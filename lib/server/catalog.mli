@@ -35,13 +35,16 @@ val find : t -> string -> Jqi_relational.Relation.t option
 (** Registered names, sorted. *)
 val names : t -> string list
 
-(** The universe of R_0 × … × R_{k-1}, built with [Universe.build] on
-    first use and cached under the colon-joined fingerprint list.  The
-    flag is [true] on a cache hit (the build was skipped).  Build errors
-    ([Invalid_argument], [Universe.Kary_too_large]) propagate to the
-    caller. *)
+(** The universe of the relations registered under [names], in order,
+    built with [Universe.build] on first use and cached under the
+    colon-joined fingerprint list.  Each relation version is
+    fingerprinted at most once (on its first lookup, or by the delta
+    that produced it), so a cache hit hashes no rows.  The flag is
+    [true] on a cache hit (the build was skipped).  [Error name] names
+    the first unregistered name.  Build errors ([Invalid_argument],
+    [Universe.Kary_too_large]) propagate to the caller. *)
 val universe :
-  t -> Jqi_relational.Relation.t list -> bool * Jqi_core.Universe.t
+  t -> string list -> (bool * Jqi_core.Universe.t, string) result
 
 (** Outcome of {!apply_delta}: the post-delta relation now registered
     under the name, the fingerprint transition, and what happened to the
@@ -61,9 +64,11 @@ type churn = {
     universe keyed on its pre-delta fingerprint is patched with
     [Universe.apply_delta] and re-keyed under the post-delta
     fingerprint, so open sessions re-certify against an
-    already-maintained Ω with no rebuild.  The registered relation and
-    its fingerprint accumulator are updated (append-only deltas extend
-    the fingerprint in O(|adds|)).
+    already-maintained Ω with no rebuild.  The pre-delta fingerprint
+    comes from the name's entry (hashed now if no lookup has yet); the
+    post-delta relation is hashed once and registered with its
+    fingerprint, so the re-certification lookups that follow hash
+    nothing.
 
     Paged relations share one mutable backing store, so the delta is
     applied to the store exactly once: the first cached single-position

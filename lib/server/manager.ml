@@ -232,17 +232,6 @@ let register t ~rel_names ~strategy_name ~universe ~cache_hit ~resumed engine =
     cache_hit;
   }
 
-(* Resolve catalog names in order; the first unknown name is the error. *)
-let relation_list t names =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | name :: rest -> (
-        match Catalog.find t.catalog name with
-        | Some rel -> go (rel :: acc) rest
-        | None -> Error (Unknown_relation name))
-  in
-  go [] names
-
 let span_attrs names = [ ("relations", String.concat "," names) ]
 
 (* [Invalid_argument] (fewer than two relations) and
@@ -250,13 +239,13 @@ let span_attrs names = [ ("relations", String.concat "," names) ]
    as error frames. *)
 let open_session t ~relations ~strategy =
   Obs.span ~attrs:(span_attrs relations) "server.open" (fun () ->
-      match relation_list t relations with
-      | Error e -> Error e
-      | Ok rels -> (
-          match Strategy.of_name ~seed:t.seed strategy with
-          | None -> Error (Unknown_strategy strategy)
-          | Some strat ->
-              let cache_hit, universe = Catalog.universe t.catalog rels in
+      (* The strategy is checked first, so a refused open builds nothing. *)
+      match Strategy.of_name ~seed:t.seed strategy with
+      | None -> Error (Unknown_strategy strategy)
+      | Some strat -> (
+          match Catalog.universe t.catalog relations with
+          | Error name -> Error (Unknown_relation name)
+          | Ok (cache_hit, universe) ->
               let engine = Engine.create universe strat in
               Obs.Counter.incr c_opened;
               Ok
@@ -266,10 +255,9 @@ let open_session t ~relations ~strategy =
 
 let resume_session t ~relations ?strategy doc =
   Obs.span ~attrs:(span_attrs relations) "server.resume" (fun () ->
-      match relation_list t relations with
-      | Error e -> Error e
-      | Ok rels -> (
-          let cache_hit, universe = Catalog.universe t.catalog rels in
+      match Catalog.universe t.catalog relations with
+      | Error name -> Error (Unknown_relation name)
+      | Ok (cache_hit, universe) -> (
           match Session.of_json_full universe doc with
           | exception Session.Corrupt msg -> Error (Corrupt_session msg)
           | exception Session.Stale_label { signature; label } ->
@@ -395,30 +383,22 @@ type delta_info = {
    [Catalog.apply_delta] just patched (distinct lock domains, so the
    nesting is safe). *)
 let recertify_one t s =
-  match relation_list t s.s_rels with
-  | Error (Unknown_relation n) ->
-      Error (Printf.sprintf "relation %S left the catalog" n)
-  | Error
-      ( Unknown_strategy _ | Unknown_session _ | No_pending _
-      | Corrupt_session _ | Stale_label _ | Bad_delta _ ) ->
-      Error "a session relation left the catalog"
-  | Ok rels -> (
-      match Catalog.universe t.catalog rels with
-      | exception Universe.Kary_too_large { work; limit } ->
-          Error
-            (Printf.sprintf
-               "the post-delta universe exceeds the k-ary work limit \
-                (%d > %d)"
-               work limit)
-      | exception Invalid_argument msg -> Error msg
-      | _hit, u' -> (
-          match Engine.recertify s.s_engine u' with
-          | Engine.Recertified e' ->
-              s.s_engine <- e';
-              s.s_universe <- u';
-              s.s_stale <- None;
-              Ok ()
-          | Engine.Stale r -> Error (stale_reason_string r)))
+  match Catalog.universe t.catalog s.s_rels with
+  | exception Universe.Kary_too_large { work; limit } ->
+      Error
+        (Printf.sprintf
+           "the post-delta universe exceeds the k-ary work limit (%d > %d)"
+           work limit)
+  | exception Invalid_argument msg -> Error msg
+  | Error n -> Error (Printf.sprintf "relation %S left the catalog" n)
+  | Ok (_hit, u') -> (
+      match Engine.recertify s.s_engine u' with
+      | Engine.Recertified e' ->
+          s.s_engine <- e';
+          s.s_universe <- u';
+          s.s_stale <- None;
+          Ok ()
+      | Engine.Stale r -> Error (stale_reason_string r))
 
 (* Broadcast: every live session over [relation] is re-certified against
    the post-delta universe; the ones that fail are flagged stale (their

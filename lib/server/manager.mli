@@ -96,8 +96,11 @@ val shards : t -> int
 
 (** Open a fresh session over [relations] catalog names, in order, with
     a strategy named as in [Strategy.of_name].  Two names give the
-    paper's binary session.  The universe comes from {!Catalog.universe};
-    build errors ([Invalid_argument] on fewer than two relations,
+    paper's binary session.  The universe comes from {!Catalog.universe}
+    by name, so a repeat open over a seen relation version reads no
+    rows.  [Unknown_strategy] is reported before anything is built,
+    and [Unknown_relation] names the first unregistered name; build
+    errors ([Invalid_argument] on fewer than two relations,
     [Universe.Kary_too_large] for k ≥ 3) propagate to the caller. *)
 val open_session :
   t -> relations:string list -> strategy:string -> (info, error) result
@@ -147,7 +150,10 @@ type delta_info = {
     re-certification: the catalog patches its cached universes at delta
     granularity ({!Catalog.apply_delta}), then every live session over
     the relation is replayed {e by signature} against the post-delta
-    universe ([Engine.recertify]).  Still-consistent sessions continue
+    universe ([Engine.recertify]).  Each session looks its universe up
+    by name, and the catalog stored the post-delta fingerprint with the
+    relation, so the broadcast hashes no rows whatever the number of
+    sessions.  Still-consistent sessions continue
     transparently — same id, labels preserved, pending question
     re-anchored — while sessions depending on a retired class are
     flagged stale with a typed reason.

@@ -6,7 +6,7 @@
    over the post-delta relations, on random interleaved insert/delete
    edit scripts, on both Mem and Paged backends.  Around it sit unit
    tests for the delta plumbing (resolution, Mem/Paged application,
-   dictionary interning, incremental fingerprints) and the storage
+   dictionary interning, catalog delta fingerprints) and the storage
    primitives that make deletion real (heap tombstones + frontier
    reclamation, rid validation, relstore churn + reopen). *)
 
@@ -20,6 +20,7 @@ module Universe = Jqi_core.Universe
 module Heap = Jqi_storage.Heap
 module Relstore = Jqi_storage.Relstore
 module Buffer_pool = Jqi_storage.Buffer_pool
+module Catalog = Jqi_server.Catalog
 
 let tmp_path suffix =
   let path = Filename.temp_file "jqi-churn" suffix in
@@ -69,7 +70,6 @@ let test_delta_basics () =
   Alcotest.(check bool) "empty" true (Delta.is_empty Delta.empty);
   let d = Delta.of_lists ~adds:[ Tuple.ints [ 1 ] ] ~removes:[] in
   Alcotest.(check bool) "not empty" false (Delta.is_empty d);
-  Alcotest.(check bool) "inserts only" true (Delta.inserts_only d);
   Alcotest.(check int) "shift" 1 (Delta.cardinality_shift d);
   Delta.check_arity 1 d;
   Alcotest.check_raises "arity mismatch"
@@ -124,21 +124,48 @@ let test_intern_delta () =
   (* removes never shrink the code space *)
   Alcotest.(check int) "codes never recycled" 2 (Dict.size dict)
 
-let test_fingerprint_extension () =
-  let rows = List.map Tuple.ints [ [ 1; 2 ]; [ 3; 4 ] ] in
-  let adds = [| Tuple.ints [ 5; 6 ]; Tuple.ints [ 7; 8 ] |] in
-  let r = relation_of "r" "a" rows in
-  let grown =
-    Relation.apply_delta r (Delta.v ~adds ~removes:[||])
+(* The catalog hashes each post-delta relation once and stores the
+   result with it; that fingerprint must equal a from-scratch hash of the
+   relation it registers, for every delta shape and on both backends.
+   A cached universe over the relation makes the paged path take its
+   post-delta view from the patched universe. *)
+let test_catalog_delta_fingerprint () =
+  let rows = List.map Tuple.ints [ [ 1; 2 ]; [ 3; 4 ]; [ 1; 2 ]; [ 5; 6 ] ] in
+  let deltas =
+    [
+      ("insert-only", Delta.of_lists ~adds:[ Tuple.ints [ 7; 8 ] ] ~removes:[]);
+      ("delete-only", Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 1; 2 ] ]);
+      ( "mixed",
+        Delta.of_lists
+          ~adds:[ Tuple.ints [ 9; 9 ]; Tuple.ints [ 3; 4 ] ]
+          ~removes:[ Tuple.ints [ 5; 6 ] ] );
+    ]
   in
-  let extended =
-    Relation.Fp.render (Relation.Fp.feed_rows (Relation.Fp.of_relation r) adds)
+  let check_backend backend rel =
+    let catalog = Catalog.create () in
+    Catalog.add catalog rel;
+    Catalog.add catalog
+      (relation_of "p" "b" [ Tuple.ints [ 1 ]; Tuple.ints [ 4 ] ]);
+    ignore (Catalog.universe catalog [ "r"; "p" ]);
+    List.iter
+      (fun (shape, d) ->
+        match Catalog.apply_delta catalog ~name:"r" d with
+        | None -> Alcotest.fail "relation r left the catalog"
+        | Some churn ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s: new_fp = fingerprint new_rel" backend
+                 shape)
+              (Relation.fingerprint churn.Catalog.new_rel)
+              churn.Catalog.new_fp)
+      deltas
   in
-  Alcotest.(check string) "acc extension = from-scratch fingerprint"
-    (Relation.fingerprint grown) extended;
-  Alcotest.(check string) "of_relation = fingerprint"
-    (Relation.fingerprint r)
-    (Relation.Fp.render (Relation.Fp.of_relation r))
+  check_backend "mem" (relation_of "r" "a" rows);
+  let store =
+    Relstore.of_relation ~page_size:512 ~pool_frames:4 ~dest:(tmp_path ".jqh")
+      (relation_of "r" "a" rows)
+  in
+  check_backend "paged" (Relstore.relation store);
+  Relstore.close store
 
 (* --------------------------- heap churn --------------------------- *)
 
@@ -483,8 +510,8 @@ let suite =
     Alcotest.test_case "resolve removes by value" `Quick test_resolve_removes;
     Alcotest.test_case "apply_delta on Mem" `Quick test_apply_delta_mem;
     Alcotest.test_case "dict intern_delta" `Quick test_intern_delta;
-    Alcotest.test_case "fingerprint accumulator extension" `Quick
-      test_fingerprint_extension;
+    Alcotest.test_case "catalog delta fingerprint = from-scratch fingerprint"
+      `Quick test_catalog_delta_fingerprint;
     Alcotest.test_case "heap delete + reopen" `Quick test_heap_delete;
     Alcotest.test_case "heap frontier reclamation" `Quick
       test_heap_frontier_reclaim;

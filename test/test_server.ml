@@ -35,6 +35,11 @@ let fh_catalog () =
 
 (* ----------------------------- catalog ----------------------------- *)
 
+let universe_of catalog names =
+  match Catalog.universe catalog names with
+  | Ok hit_u -> hit_u
+  | Error name -> Alcotest.failf "no relation %S in the catalog" name
+
 let test_catalog_cache () =
   Obs.reset ();
   Obs.set_enabled true;
@@ -44,19 +49,19 @@ let test_catalog_cache () =
       Obs.reset ())
     (fun () ->
       let catalog = fh_catalog () in
-      let hit1, u1 = Catalog.universe catalog [ Fixtures.flight; Fixtures.hotel ] in
-      let hit2, u2 = Catalog.universe catalog [ Fixtures.flight; Fixtures.hotel ] in
+      let hit1, u1 = universe_of catalog [ "Flight"; "Hotel" ] in
+      let hit2, u2 = universe_of catalog [ "Flight"; "Hotel" ] in
       Alcotest.(check bool) "first build misses" false hit1;
       Alcotest.(check bool) "second hits" true hit2;
       Alcotest.(check bool) "same universe shared" true (u1 == u2);
       Alcotest.(check (pair int int)) "stats" (1, 1) (Catalog.stats catalog);
       (* The cache is keyed by content, not registration name. *)
       Catalog.add ~name:"flight2" catalog Fixtures.flight;
-      let hit3, u3 = Catalog.universe catalog [ Fixtures.flight; Fixtures.hotel ] in
+      let hit3, u3 = universe_of catalog [ "flight2"; "Hotel" ] in
       Alcotest.(check bool) "renamed content still hits" true hit3;
       Alcotest.(check bool) "still shared" true (u1 == u3);
       (* Swapping the pair is a different product: a fresh build. *)
-      let hit4, _ = Catalog.universe catalog [ Fixtures.hotel; Fixtures.flight ] in
+      let hit4, _ = universe_of catalog [ "Hotel"; "Flight" ] in
       Alcotest.(check bool) "swapped pair misses" false hit4;
       let report = Obs.Report.snapshot () in
       Alcotest.(check int) "hit counter" 2
@@ -1101,6 +1106,110 @@ let test_stats_heap_peak_counts_workers () =
             true (grown >= 1_000_000);
           ignore (Sys.opaque_identity kept))
 
+(* A paged relation over an in-memory array that counts the rows read
+   through [iter_rows] and [get_row] — the scans a fingerprint makes.
+   [coded] (the universe builder's path) and [apply_delta] are served
+   from the array without counting. *)
+let counting_relation reads rel =
+  let module B = Relation.Backend in
+  let module Dict = Jqi_relational.Dict in
+  let rec backend rows =
+    let dict = Dict.create () in
+    let values = Jqi_util.Vec.create () in
+    let codes =
+      Array.map
+        (fun row ->
+          Array.map
+            (fun v ->
+              let c = Dict.code dict v in
+              if Int.equal c (Jqi_util.Vec.length values) then
+                Jqi_util.Vec.push values v;
+              c)
+            row)
+        rows
+    in
+    {
+      B.n_rows = Array.length rows;
+      get_row =
+        (fun i ->
+          incr reads;
+          rows.(i));
+      iter_rows =
+        (fun f ->
+          Array.iteri
+            (fun i row ->
+              incr reads;
+              f i row)
+            rows);
+      coded =
+        {
+          B.distinct = Jqi_util.Vec.length values;
+          value = Jqi_util.Vec.get values;
+          iter_codes =
+            (fun f -> Array.iteri (fun i c -> f i (Array.copy c)) codes);
+        };
+      describe = "counting:" ^ Relation.name rel;
+      apply_delta =
+        (fun ~adds ~removed ->
+          let kept =
+            List.filteri
+              (fun i _ -> not (Array.mem i removed))
+              (Array.to_list rows)
+          in
+          backend (Array.append (Array.of_list kept) adds));
+    }
+  in
+  Relation.of_paged ~name:(Relation.name rel) ~schema:(Relation.schema rel)
+    (backend (Relation.rows rel))
+
+let counting_manager reads =
+  let catalog = Catalog.create () in
+  Catalog.add catalog (counting_relation reads Fixtures.flight);
+  Catalog.add catalog (counting_relation reads Fixtures.hotel);
+  Manager.create catalog
+
+let open_fh manager =
+  ignore
+    (expect_ok "open"
+       (Manager.open_session manager ~relations:[ "Flight"; "Hotel" ]
+          ~strategy:"td"))
+
+(* Each relation version is fingerprinted once: a repeat open over the
+   same pair finds both fingerprints in the catalog and reads no rows. *)
+let test_repeat_open_reads_no_rows () =
+  let reads = ref 0 in
+  let manager = counting_manager reads in
+  open_fh manager;
+  Alcotest.(check bool) "the first open fingerprints both" true (!reads > 0);
+  reads := 0;
+  open_fh manager;
+  Alcotest.(check int) "rows read by a repeat open" 0 !reads
+
+(* The delta hashes the post-delta relation once and stores it, so the
+   re-certification broadcast reads no rows per session. *)
+let test_delta_reads_independent_of_sessions () =
+  let delta_reads sessions =
+    let reads = ref 0 in
+    let manager = counting_manager reads in
+    for _ = 1 to sessions do
+      open_fh manager
+    done;
+    reads := 0;
+    let info =
+      expect_ok "delta"
+        (Manager.apply_delta manager ~relation:"Flight"
+           (Delta.of_lists ~adds:[ (Relation.rows Fixtures.flight).(0) ]
+              ~removes:[]))
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%d sessions re-certified" sessions)
+      sessions
+      (List.length info.Manager.recertified);
+    !reads
+  in
+  Alcotest.(check int) "rows read by a delta: 8 sessions vs 1"
+    (delta_reads 1) (delta_reads 8)
+
 let suite =
   [
     Alcotest.test_case "catalog cache" `Quick test_catalog_cache;
@@ -1137,4 +1246,8 @@ let suite =
       test_stats_reply_heap_field_optional;
     Alcotest.test_case "stats reply: heap peak counts Pool workers" `Quick
       test_stats_heap_peak_counts_workers;
+    Alcotest.test_case "repeat open reads no rows" `Quick
+      test_repeat_open_reads_no_rows;
+    Alcotest.test_case "delta reads are independent of live sessions" `Quick
+      test_delta_reads_independent_of_sessions;
   ]
