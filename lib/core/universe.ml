@@ -31,9 +31,7 @@ type t = {
   classes : cls array;
   total : int;  (* |D|; the sum of class multiplicities *)
   relations : Relation.t array option;
-  (* Memoized on first use; single-writer like the relations it encodes
-     (the server mutates universes only under its catalog shard lock). *)
-  mutable cache : delta_cache option;
+  cache : delta_cache option;
 }
 
 exception Kary_too_large of { work : int; limit : int }
@@ -608,7 +606,27 @@ module Delta = Jqi_relational.Delta
 (* Mutable per-class adjustment; [a_rep = None] marks damage. *)
 type adj = { mutable a_count : int; mutable a_rep : int array option }
 
-let ensure_cache t rels =
+(* Slot codes before change [c], from the codes [post] after it: the
+   survivors with the claimed rows put back at their indexes. *)
+let unapply dict post (c : Relation.change) =
+  let removed = c.removed in
+  let n = Array.length post - Array.length c.delta.adds + Array.length removed in
+  let pre = Array.make n [||] and j = ref 0 in
+  for i = 0 to n - 1 do
+    if !j < Array.length removed && Int.equal removed.(!j) i then begin
+      pre.(i) <- Dict.encode_row dict c.delta.removes.(!j);
+      incr j
+    end
+    else pre.(i) <- post.(i - !j)
+  done;
+  pre
+
+(* The delta cache a batch starts from: the universe's own, or a fresh
+   encoding.  A changed relation is encoded from its last [after] with
+   each change undone in turn, because a paged store is written in
+   place and can no longer read its pre-delta rows.  A fresh encoding
+   depends on the batch's changes, so it is not kept on [t]. *)
+let delta_cache t rels deltas =
   match t.cache with
   | Some c -> c
   | None ->
@@ -616,10 +634,16 @@ let ensure_cache t rels =
         Array.fold_left (fun s r -> s + Relation.cardinality r) 0 rels
       in
       let dict = Dict.create ~size:total_rows () in
-      let codes = Array.map (fun r -> Dict.encode_rows dict r) rels in
-      let c = { dict; codes } in
-      t.cache <- Some c;
-      c
+      let encode i r =
+        let of_slot (j, c) = if Int.equal i j then Some c else None in
+        match List.filter_map of_slot (List.rev deltas) with
+        | [] -> Dict.encode_rows dict r
+        | last :: _ as changes ->
+            List.fold_left (unapply dict)
+              (Dict.encode_rows dict last.Relation.after)
+              changes
+      in
+      { dict; codes = Array.mapi encode rels }
 
 (* Group a code matrix into profiles (first-seen order, like
    [stream_profiles], but over already-encoded rows — integer hashing
@@ -658,7 +682,18 @@ let apply_delta t deltas =
         invalid_arg "Universe.apply_delta: universe was built without relations"
   in
   let k = Array.length rels in
-  let cache = ensure_cache t rels in
+  (* Each change must start from its slot's current row count. *)
+  let rows = Array.map Relation.cardinality rels in
+  List.iter
+    (fun (ridx, (c : Relation.change)) ->
+      if ridx < 0 || ridx >= k then
+        invalid_arg "Universe.apply_delta: no such relation";
+      rows.(ridx) <-
+        rows.(ridx) - Array.length c.removed + Array.length c.delta.adds;
+      if not (Int.equal rows.(ridx) (Relation.cardinality c.after)) then
+        invalid_arg "Universe.apply_delta: change from another relation version")
+    deltas;
+  let cache = delta_cache t rels deltas in
   let codes = Array.copy cache.codes in
   let dict = cache.dict in
   let tbl = H.create (max 64 (2 * Array.length t.classes)) in
@@ -667,11 +702,9 @@ let apply_delta t deltas =
       H.replace tbl c.signature
         { a_count = c.count; a_rep = Some (Array.copy c.rep) })
     t.classes;
-  let step (ridx, d) =
-    if ridx < 0 || ridx >= k then
-      invalid_arg "Universe.apply_delta: no such relation";
+  let step (ridx, (c : Relation.change)) =
+    let d = c.delta and removed = c.removed in
     if not (Delta.is_empty d) then begin
-      let removed = Relation.resolve_removes rels.(ridx) d in
       let add_codes = Dict.intern_delta dict d in
       let old_codes = codes.(ridx) in
       let n_removed = Array.length removed in
@@ -745,12 +778,9 @@ let apply_delta t deltas =
             | Some ({ a_rep = None; _ } as a) -> a.a_rep <- Some rep
             | Some _ | None -> ())
           (classes_with (group_codes new_codes));
-      codes.(ridx) <- new_codes;
-      (* The relation update comes last, after the class arithmetic has
-         validated the delta: on a paged backend this mutates the backing
-         store in place, so an inconsistent delta must raise before it. *)
-      rels.(ridx) <- Relation.apply_delta rels.(ridx) d
-    end
+      codes.(ridx) <- new_codes
+    end;
+    rels.(ridx) <- c.after
   in
   List.iter step deltas;
   let sigs =
@@ -764,9 +794,8 @@ let apply_delta t deltas =
   (match sigs with
   | [] -> invalid_arg "Universe.apply_delta: empty Cartesian product"
   | _ :: _ -> ());
-  let u = of_signature_list ~relations:rels t.omega sigs in
-  u.cache <- Some { dict; codes };
-  u
+  { (of_signature_list ~relations:rels t.omega sigs) with
+    cache = Some { dict; codes } }
 
 let omega t = t.omega
 let classes t = t.classes

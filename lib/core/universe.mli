@@ -96,32 +96,34 @@ val of_signature_list :
 
 (** {2 Incremental Ω maintenance under churn}
 
-    [apply_delta u [(i, d); …]] folds each delta into the universe in
-    list order: relation [i]'s removed rows re-join into their profile
-    groups and decrement class multiplicities (classes reaching zero
-    retire), added rows land in an existing signature class or mint a
-    new one, and representatives are kept lexicographically smallest by
+    [apply_delta u [(i, c); …]] folds each change into the universe in
+    list order, where [c] is [Relation.apply_delta] of relation [i]'s
+    current version: the claimed rows re-join into their profile groups
+    and decrement class multiplicities (classes reaching zero retire),
+    added rows land in an existing signature class or mint a new one,
+    and representatives are kept lexicographically smallest by
     min-merge — with a repair pass when a deletion hits a
     representative row.  Each pass is one run of {!build}'s walk, with
     relation [i]'s removed, added or post-delta profiles in its slot,
-    and none of them is subject to a work limit.  The result is
-    {e byte-identical} to a from-scratch {!build} over the post-delta
-    relations (same classes, counts and representatives; pinned
-    differentially in test/test_churn.ml), at a per-batch cost
-    proportional to the changed rows' profile combinations rather than
-    the whole product — `bench churn` measures the gap and the
-    crossover batch size.
+    and none of them is subject to a work limit.  The result, holding
+    each [c.after] in its slot, is {e byte-identical} to a from-scratch
+    {!build} over the post-delta relations (pinned differentially in
+    test/test_churn.ml), at a per-batch cost proportional to the
+    changed rows' profile combinations — `bench churn` measures the gap.
 
-    A signature-interning cache (dictionary + per-row code vectors)
-    rides along the universe chain, so only the first delta after a
-    fresh build pays an encoding pass.  Deltas on [Paged] relations
-    mutate the backing store in place (see {!Relation.apply_delta}) —
-    the pre-delta universe's relations become stale views.
+    Nothing is resolved or written here, so one change patches every
+    universe over its relation, a self-join included (once per
+    position).  A signature-interning cache rides along the universe
+    chain; the first delta after a fresh build encodes each changed
+    relation from its last [after] and puts the claimed rows back,
+    since a [Paged] store is already written in place.
 
     Raises [Invalid_argument] when the universe was built without
-    relations, on an unknown relation index, an arity-mismatched row, a
-    remove matching no row, or a delta emptying the product. *)
-val apply_delta : t -> (int * Jqi_relational.Delta.t) list -> t
+    relations, on an unknown relation index, on a change whose [after]
+    cardinality is not the slot's row count minus [removed] plus the
+    adds (a change made from another relation version), or on a batch
+    emptying the product. *)
+val apply_delta : t -> (int * Jqi_relational.Relation.change) list -> t
 
 val omega : t -> Omega.t
 val classes : t -> cls array

@@ -7,7 +7,7 @@
    *by value*: each remove claims one occurrence of an equal row
    ([Tuple.equal], NULL cells compare equal structurally), which is the
    only addressing mode a wire client has.  Resolution of removes to
-   concrete row indexes is the relation's job ({!Relation.resolve_removes}),
+   concrete row indexes is the relation's job ({!Relation.apply_delta}),
    keeping this module free of any backend concern. *)
 
 type t = { adds : Tuple.t array; removes : Tuple.t array }

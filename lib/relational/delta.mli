@@ -5,7 +5,7 @@
     value flows unchanged from a protocol frame through the catalog down
     to the storage engine.  Removals address rows {e by value}: each
     remove claims one occurrence of a [Tuple.equal] row (the earliest
-    still-unclaimed one; see {!Relation.resolve_removes}), which is the
+    still-unclaimed one; see {!Relation.apply_delta}), which is the
     only addressing a wire client has. *)
 
 type t = { adds : Tuple.t array; removes : Tuple.t array }

@@ -29,8 +29,6 @@ module Backend = struct
   }
 
   type t = Mem of Tuple.t array | Paged of paged
-
-  let name = function Mem _ -> "mem" | Paged _ -> "paged"
 end
 
 type t = { name : string; schema : Schema.t; backend : Backend.t }
@@ -54,7 +52,6 @@ let of_paged ~name ~schema paged =
 let name t = t.name
 let schema t = t.schema
 let backend t = t.backend
-let backend_name t = Backend.name t.backend
 
 let cardinality t =
   match t.backend with
@@ -125,59 +122,63 @@ let pp ppf t =
 
 (* Churn: apply one Delta batch, yielding the relation with the removed
    rows gone (surviving rows keep their relative order) and the added
-   rows appended after them.  Removes address rows by value; resolution
-   assigns each remove the earliest still-unclaimed [Tuple.equal]
-   occurrence, in one streaming scan so a paged backend pays one pass,
-   not |removes| random probes. *)
+   rows appended after them. *)
+type change = { after : t; removed : int array; delta : Delta.t }
+
+exception Claimed_all
+
+(* Each remove claims the earliest still-unclaimed [Tuple.equal] row, in
+   one streaming scan that stops at the last claim, so a paged backend
+   pays at most one pass, not |removes| random probes.  Scan order is
+   row order: the claimed indexes come out ascending, beside the rows
+   they hold. *)
 let resolve_removes t (d : Delta.t) =
-  let n_removes = Array.length d.Delta.removes in
-  let out = Jqi_util.Vec.create () in
-  if n_removes > 0 then begin
-    let pending = Array.map Option.some d.Delta.removes in
-    let remaining = ref n_removes in
-    iteri
-      (fun i row ->
-        if !remaining > 0 then begin
-          let k = ref 0 and found = ref false in
-          while (not !found) && !k < n_removes do
-            (match pending.(!k) with
-            | Some tup when Tuple.equal tup row ->
-                pending.(!k) <- None;
-                decr remaining;
-                Jqi_util.Vec.push out i;
-                found := true
-            | Some _ | None -> ());
-            incr k
-          done
-        end)
-      t;
-    if !remaining > 0 then
-      invalid_arg
-        (Printf.sprintf
-           "Delta: %d delete row(s) not present in relation %s" !remaining
-           t.name)
-  end;
-  (* Scan order is row order, so the indexes come out sorted ascending. *)
-  Jqi_util.Vec.to_array out
+  let pending = Array.map Option.some d.Delta.removes in
+  let removed = Jqi_util.Vec.create () and claimed = Jqi_util.Vec.create () in
+  let claim i row =
+    match
+      Array.find_index
+        (function Some tup -> Tuple.equal tup row | None -> false)
+        pending
+    with
+    | None -> ()
+    | Some k ->
+        pending.(k) <- None;
+        Jqi_util.Vec.push removed i;
+        Jqi_util.Vec.push claimed row;
+        if Int.equal (Jqi_util.Vec.length removed) (Array.length pending) then
+          raise Claimed_all
+  in
+  (if Array.length pending > 0 then
+     match iteri claim t with () | (exception Claimed_all) -> ());
+  let missing = Array.length pending - Jqi_util.Vec.length removed in
+  if missing > 0 then
+    invalid_arg
+      (Printf.sprintf "Delta: %d delete row(s) not present in relation %s"
+         missing t.name);
+  (Jqi_util.Vec.to_array removed, Jqi_util.Vec.to_array claimed)
 
 let apply_delta t (d : Delta.t) =
   Delta.check_arity (Schema.arity t.schema) d;
-  let removed = resolve_removes t d in
-  match t.backend with
-  | Backend.Paged p ->
-      let p = p.Backend.apply_delta ~adds:d.Delta.adds ~removed in
-      { t with backend = Backend.Paged p }
-  | Backend.Mem old_rows ->
-      (* The surviving rows ++ adds as a fresh in-memory backend. *)
-      let n = Array.length old_rows in
-      let keep = Array.make n true in
-      Array.iter (fun i -> keep.(i) <- false) removed;
-      let out = Jqi_util.Vec.create () in
-      for i = 0 to n - 1 do
-        if keep.(i) then Jqi_util.Vec.push out old_rows.(i)
-      done;
-      Array.iter (Jqi_util.Vec.push out) d.Delta.adds;
-      { t with backend = Backend.Mem (Jqi_util.Vec.to_array out) }
+  let removed, claimed = resolve_removes t d in
+  let backend =
+    match t.backend with
+    | Backend.Paged p ->
+        Backend.Paged (p.Backend.apply_delta ~adds:d.Delta.adds ~removed)
+    | Backend.Mem old_rows ->
+        (* The surviving rows ++ adds as a fresh in-memory backend. *)
+        let survivors = Array.length old_rows - Array.length removed in
+        let rows = Array.make (survivors + Array.length d.Delta.adds) [||] in
+        let j = ref 0 in
+        Array.iteri
+          (fun i r ->
+            if !j < Array.length removed && Int.equal removed.(!j) i then incr j
+            else rows.(i - !j) <- r)
+          old_rows;
+        Array.blit d.Delta.adds 0 rows survivors (Array.length d.Delta.adds);
+        Backend.Mem rows
+  in
+  { after = { t with backend }; removed; delta = { d with removes = claimed } }
 
 (* Content fingerprint: FNV-1a 64-bit over a canonical serialization of
    name, schema and every cell, in row-major order.  Cells are fed with a

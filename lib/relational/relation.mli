@@ -42,9 +42,6 @@ module Backend : sig
   }
 
   type t = Mem of Tuple.t array | Paged of paged
-
-  val name : t -> string
-  (** ["mem"] or ["paged"]. *)
 end
 
 type t
@@ -59,9 +56,6 @@ val of_list : name:string -> schema:Schema.t -> Tuple.t list -> t
 val of_paged : name:string -> schema:Schema.t -> Backend.paged -> t
 
 val backend : t -> Backend.t
-
-val backend_name : t -> string
-(** ["mem"] or ["paged"]. *)
 
 val name : t -> string
 val schema : t -> Schema.t
@@ -99,20 +93,24 @@ val tuple_set : t -> Tuple_set.t
     insensitive). *)
 val equal_contents : t -> t -> bool
 
-(** Resolve a delta's by-value removes to concrete (pre-delta) row
-    indexes, sorted ascending: one streaming scan assigns each remove
-    the earliest still-unclaimed [Tuple.equal] occurrence.  Raises
-    [Invalid_argument] when some remove matches no remaining row. *)
-val resolve_removes : t -> Delta.t -> int array
+(** One applied churn batch: the post-delta relation [after], the
+    pre-delta row indexes the removes claimed, ascending, and the delta
+    with its removes replaced by the claimed rows in that order
+    ([delta.removes.(j)] was row [removed.(j)]).  [Universe.apply_delta]
+    patches universes with it without touching the relation again. *)
+type change = { after : t; removed : int array; delta : Delta.t }
 
 (** Apply one churn batch: the removed rows disappear (survivors keep
     their relative order) and the added rows are appended after them.
-    On [Mem] this builds a fresh backing array, leaving the input value
-    untouched.  On [Paged] the store is mutated {e in place} (earlier
-    views over the same store are invalidated).  Raises
-    [Invalid_argument] on an arity-mismatched row or an unmatched
-    remove. *)
-val apply_delta : t -> Delta.t -> t
+    Each remove claims the earliest still-unclaimed [Tuple.equal] row,
+    in one streaming scan that stops once every remove has a row.
+    The whole delta is validated before the backend is written, which
+    happens once.  On [Mem] this builds a fresh backing array, leaving
+    the input value untouched.  On [Paged] the store is mutated
+    {e in place} (earlier views over the same store are invalidated).
+    Raises [Invalid_argument] on an arity-mismatched row or an
+    unmatched remove. *)
+val apply_delta : t -> Delta.t -> change
 
 (** Content fingerprint (FNV-1a 64-bit, rendered as 16 hex digits) over
     name, schema and all cells in row-major order.  Cells are hashed with

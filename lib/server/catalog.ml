@@ -158,79 +158,40 @@ let apply_delta t ~name (d : Delta.t) =
   | None -> None
   | Some ({ rel; _ } as entry) ->
       let old_fp = fingerprint t name entry in
-      (* Validate up front (read-only): a bad delta must raise before any
-         cache entry is evicted or any paged store is touched — the
-         patch loop below treats patch failures as evictions, which
-         would otherwise swallow a genuinely malformed delta. *)
-      Delta.check_arity (Relation.arity rel) d;
-      ignore (Relation.resolve_removes rel d : int array);
-      let paged = String.equal (Relation.backend_name rel) "paged" in
-      (* Snapshot the cache entries keyed on the pre-delta fingerprint. *)
+      (* The one resolution and the one write; a bad delta raises here,
+         before any cache entry is touched. *)
+      let change = Relation.apply_delta rel d in
+      (* Take out the cache entries keyed on the pre-delta fingerprint. *)
       let matches =
         Shard.fold t.shards ~init:[] ~f:(fun acc _ shard ->
-            Hashtbl.fold
-              (fun key u acc ->
+            let acc = ref acc in
+            Hashtbl.filter_map_inplace
+              (fun key u ->
                 match positions_of old_fp key with
-                | [] -> acc
-                | ps -> (key, ps, u) :: acc)
-              shard.universes acc)
+                | [] -> Some u
+                | ps ->
+                    acc := (key, ps, u) :: !acc;
+                    None)
+              shard.universes;
+            !acc)
       in
-      List.iter
-        (fun (key, _, _) ->
-          Shard.with_key t.shards key (fun shard ->
-              Hashtbl.remove shard.universes key))
-        matches;
       let patched = ref 0 and dropped = ref 0 in
-      let fresh_rel = ref None in
-      let patch_one (key, ps, u) =
-        match Universe.apply_delta u (List.map (fun i -> (i, d)) ps) with
-        | u' ->
-            incr patched;
-            Obs.Counter.incr c_patched;
-            (match (Universe.relations u', ps) with
-            | Some rels, i :: _ when Option.is_none !fresh_rel ->
-                fresh_rel := Some rels.(i)
-            | (Some _ | None), _ -> ());
-            Some (key, u')
-        | exception (Invalid_argument _ | Universe.Kary_too_large _) ->
-            incr dropped;
-            Obs.Counter.incr c_delta_evicted;
-            if paged then
-              (* The store may hold the delta already (the class arithmetic
-                 validates before mutating, but an empty final product
-                 raises after); refresh the view without re-applying. *)
-              fresh_rel := Some (Relation.apply_delta rel Delta.empty);
-            None
-      in
       let migrated =
-        if paged then
-          (* A paged delta mutates the one backing store, so it can be
-             applied exactly once: patch the first entry, drop the rest
-             (their pre-delta views are stale anyway).  A self-join entry
-             (the same fingerprint at two positions) would re-apply, so
-             it is dropped too. *)
-          match matches with
-          | (_, [ _ ], _) as first :: rest ->
-              List.iter
-                (fun _ ->
-                  incr dropped;
-                  Obs.Counter.incr c_delta_evicted)
-                rest;
-              Option.to_list (patch_one first)
-          | matches ->
-              List.iter
-                (fun _ ->
-                  incr dropped;
-                  Obs.Counter.incr c_delta_evicted)
-                matches;
-              []
-        else List.filter_map patch_one matches
+        List.filter_map
+          (fun (key, ps, u) ->
+            match Universe.apply_delta u (List.map (fun i -> (i, change)) ps) with
+            | u' ->
+                incr patched;
+                Obs.Counter.incr c_patched;
+                Some (key, u')
+            | exception Invalid_argument _ ->
+                (* as when the delta empties the product *)
+                incr dropped;
+                Obs.Counter.incr c_delta_evicted;
+                None)
+          matches
       in
-      let new_rel =
-        match !fresh_rel with
-        | Some r -> r
-        | None -> Relation.apply_delta rel d
-      in
+      let new_rel = change.after in
       let new_fp = Relation.fingerprint new_rel in
       List.iter
         (fun (key, u') ->

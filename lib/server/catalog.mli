@@ -70,12 +70,11 @@ type churn = {
     fingerprint, so the re-certification lookups that follow hash
     nothing.
 
-    Paged relations share one mutable backing store, so the delta is
-    applied to the store exactly once: the first cached single-position
-    entry is patched (or, with no cache entries, the relation is
-    updated directly) and any further entries — including self-join
-    entries, where the fingerprint appears at two key positions — are
-    dropped rather than double-applied.
+    The delta is resolved and written once, by
+    [Relation.apply_delta], on either backend; every matching entry is
+    patched with that one change, self-join entries (the fingerprint at
+    several key positions) included.  An entry is dropped only when its
+    patch raises, as when the delta empties its product.
 
     [None] when no relation is registered under [name].  Raises
     [Invalid_argument] when the delta itself is invalid against the

@@ -48,6 +48,18 @@ let universes_agree = Fixtures.universes_agree
 let check_agree label u1 u2 =
   Alcotest.(check bool) label true (universes_agree u1 u2)
 
+(* Apply each delta to its relation's current version in [u], in list
+   order, and patch [u] with the changes. *)
+let patch u deltas =
+  let rels = Option.get (Universe.relations u) in
+  Universe.apply_delta u
+    (List.map
+       (fun (i, d) ->
+         let change = Relation.apply_delta rels.(i) d in
+         rels.(i) <- change.Relation.after;
+         (i, change))
+       deltas)
+
 (* Reference delta semantics on a row list: each remove drops the
    earliest remaining [Tuple.equal] occurrence; adds append. *)
 let apply_ref rows (d : Delta.t) =
@@ -85,10 +97,10 @@ let test_resolve_removes () =
       ~removes:[ Tuple.ints [ 1; 1 ]; Tuple.ints [ 1; 1 ] ]
   in
   Alcotest.(check (array int)) "earliest occurrences" [| 0; 2 |]
-    (Relation.resolve_removes r d);
+    (Relation.apply_delta r d).Relation.removed;
   let bad = Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 9; 9 ] ] in
   Alcotest.(check bool) "unmatched raises" true
-    (match Relation.resolve_removes r bad with
+    (match Relation.apply_delta r bad with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -100,7 +112,7 @@ let test_apply_delta_mem () =
       ~adds:[ Tuple.ints [ 7 ]; Tuple.ints [ 8 ] ]
       ~removes:[ Tuple.ints [ 2 ] ]
   in
-  let r' = Relation.apply_delta r d in
+  let r' = (Relation.apply_delta r d).Relation.after in
   Alcotest.(check (list (list int)))
     "survivors in order, adds appended"
     [ [ 1 ]; [ 3 ]; [ 2 ]; [ 7 ]; [ 8 ] ]
@@ -165,6 +177,60 @@ let test_catalog_delta_fingerprint () =
       (relation_of "r" "a" rows)
   in
   check_backend "paged" (Relstore.relation store);
+  Relstore.close store
+
+(* One change patches every cached universe over a paged relation: two
+   deltas on r in turn migrate r × p, r × q and the self-join r × r,
+   each equal to a fresh build over the post-delta relations, and leave
+   no page pinned.  The first delta patches freshly built universes, the
+   second patches them again from their delta caches. *)
+let test_catalog_paged_patches_every_entry () =
+  let rows = List.map Tuple.ints [ [ 1; 2 ]; [ 3; 4 ]; [ 1; 2 ]; [ 5; 6 ] ] in
+  let store =
+    Relstore.of_relation ~page_size:512 ~pool_frames:4 ~dest:(tmp_path ".jqh")
+      (relation_of "r" "a" rows)
+  in
+  let p = relation_of "p" "b" [ Tuple.ints [ 1 ]; Tuple.ints [ 4 ] ] in
+  let q = relation_of "q" "c" [ Tuple.ints [ 2; 9 ]; Tuple.ints [ 6; 3 ] ] in
+  let catalog = Catalog.create () in
+  List.iter (Catalog.add catalog) [ Relstore.relation store; p; q ];
+  let lists = [ [ "r"; "p" ]; [ "r"; "q" ]; [ "r"; "r" ] ] in
+  List.iter (fun names -> ignore (Catalog.universe catalog names)) lists;
+  let deltas =
+    [
+      Delta.of_lists
+        ~adds:[ Tuple.ints [ 9; 9 ]; Tuple.ints [ 1; 2 ] ]
+        ~removes:[ Tuple.ints [ 5; 6 ]; Tuple.ints [ 1; 2 ] ];
+      Delta.of_lists ~adds:[ Tuple.ints [ 6; 1 ] ] ~removes:[ Tuple.ints [ 3; 4 ] ];
+    ]
+  in
+  ignore
+    (List.fold_left
+       (fun rows d ->
+         let churn = Option.get (Catalog.apply_delta catalog ~name:"r" d) in
+         Alcotest.(check (pair int int)) "patched, dropped" (3, 0)
+           (churn.Catalog.patched, churn.Catalog.dropped);
+         let rows = apply_ref rows d in
+         let fresh = function
+           | "r" -> relation_of "r" "a" rows
+           | "p" -> p
+           | _ -> q
+         in
+         List.iter
+           (fun names ->
+             let label = String.concat " × " names in
+             match Catalog.universe catalog names with
+             | Error name -> Alcotest.fail ("unknown relation " ^ name)
+             | Ok (hit, u) ->
+                 Alcotest.(check bool) (label ^ ": cache hit") true hit;
+                 check_agree (label ^ " = rebuild")
+                   (Universe.build (List.map fresh names))
+                   u)
+           lists;
+         rows)
+       rows deltas);
+  Alcotest.(check int) "no page pinned" 0
+    (Buffer_pool.pinned (Relstore.pool store));
   Relstore.close store
 
 (* --------------------------- heap churn --------------------------- *)
@@ -287,8 +353,11 @@ let test_relation_apply_delta_paged () =
   let d =
     Delta.of_lists ~adds:[ Tuple.ints [ 9 ] ] ~removes:[ Tuple.ints [ 2 ] ]
   in
-  let rel' = Relation.apply_delta rel d in
-  Alcotest.(check string) "stays paged" "paged" (Relation.backend_name rel');
+  let rel' = (Relation.apply_delta rel d).Relation.after in
+  Alcotest.(check bool) "stays paged" true
+    (match Relation.backend rel' with
+    | Relation.Backend.Paged _ -> true
+    | Relation.Backend.Mem _ -> false);
   Alcotest.(check (list (list int))) "paged churn"
     [ [ 1 ]; [ 3 ]; [ 9 ] ]
     (List.map ints_of (Relation.to_list rel'));
@@ -304,7 +373,7 @@ let test_universe_insert_only () =
   let rows_p = List.map Tuple.ints [ [ 1 ]; [ 2 ] ] in
   let u = build_of rows_r rows_p in
   let d = Delta.of_lists ~adds:[ Tuple.ints [ 2; 2 ]; Tuple.ints [ 1; 2 ] ] ~removes:[] in
-  let u' = Universe.apply_delta u [ (0, d) ] in
+  let u' = patch u [ (0, d) ] in
   let rebuilt =
     build_of (apply_ref rows_r d) rows_p
   in
@@ -319,7 +388,7 @@ let test_universe_delete_rep () =
   let rows_p = List.map Tuple.ints [ [ 1 ]; [ 2 ]; [ 1 ] ] in
   let u = build_of rows_r rows_p in
   let d = Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 1; 2 ] ] in
-  let u' = Universe.apply_delta u [ (0, d) ] in
+  let u' = patch u [ (0, d) ] in
   check_agree "rep-damaging delete = rebuild" (build_of (apply_ref rows_r d) rows_p) u'
 
 let test_universe_retire_and_mint () =
@@ -332,7 +401,7 @@ let test_universe_retire_and_mint () =
     Delta.of_lists ~adds:[ Tuple.ints [ 9; 9 ] ]
       ~removes:[ Tuple.ints [ 1; 1 ] ]
   in
-  let u' = Universe.apply_delta u [ (0, d) ] in
+  let u' = patch u [ (0, d) ] in
   let rebuilt = build_of (apply_ref rows_r d) rows_p in
   check_agree "retire + mint = rebuild" rebuilt u';
   Alcotest.(check int) "class count stable here" n0 (Universe.n_classes u');
@@ -346,12 +415,12 @@ let test_universe_multi_relation_deltas () =
   let u = build_of rows_r rows_p in
   let dr = Delta.of_lists ~adds:[ Tuple.ints [ 3; 1 ] ] ~removes:[ Tuple.ints [ 1; 2 ] ] in
   let dp = Delta.of_lists ~adds:[ Tuple.ints [ 2 ] ] ~removes:[ Tuple.ints [ 3 ] ] in
-  let u' = Universe.apply_delta u [ (0, dr); (1, dp) ] in
+  let u' = patch u [ (0, dr); (1, dp) ] in
   check_agree "both relations in one call = rebuild"
     (build_of (apply_ref rows_r dr) (apply_ref rows_p dp))
     u';
   (* chained single-relation calls agree too (cache rides along) *)
-  let u'' = Universe.apply_delta (Universe.apply_delta u [ (0, dr) ]) [ (1, dp) ] in
+  let u'' = patch (patch u [ (0, dr) ]) [ (1, dp) ] in
   check_agree "chained calls = rebuild" u' u''
 
 let test_universe_drain_and_refill () =
@@ -362,10 +431,10 @@ let test_universe_drain_and_refill () =
   let u = build_of rows_r rows_p in
   let drain = Delta.of_lists ~adds:[] ~removes:(List.map Tuple.ints [ [ 1 ]; [ 2 ] ]) in
   let refill = Delta.of_lists ~adds:[ Tuple.ints [ 5 ] ] ~removes:[] in
-  let u' = Universe.apply_delta u [ (0, drain); (0, refill) ] in
+  let u' = patch u [ (0, drain); (0, refill) ] in
   check_agree "drain then refill = rebuild" (build_of [ Tuple.ints [ 5 ] ] rows_p) u';
   Alcotest.(check bool) "emptying the product raises" true
-    (match Universe.apply_delta u [ (0, drain) ] with
+    (match patch u [ (0, drain) ] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -376,13 +445,58 @@ let test_universe_kary_delta () =
   let rels = [ relation_of "r0" "a" r0; relation_of "r1" "b" r1; relation_of "r2" "c" r2 ] in
   let u = Universe.build rels in
   let d = Delta.of_lists ~adds:[ Tuple.ints [ 1; 1 ] ] ~removes:[ Tuple.ints [ 3; 1 ] ] in
-  let u' = Universe.apply_delta u [ (2, d) ] in
+  let u' = patch u [ (2, d) ] in
   let rebuilt =
     Universe.build
       [ relation_of "r0" "a" r0; relation_of "r1" "b" r1;
         relation_of "r2" "c" (apply_ref r2 d) ]
   in
   check_agree "k-ary delta = build_kary rebuild" rebuilt u'
+
+(* A fresh universe's first batch encodes each changed relation from
+   its last [after] and undoes the changes in turn, so each change must
+   put its claimed rows back at their own indexes.  Here the second
+   change claims an added row and an original one, listed in reverse
+   row order, and the self-join makes every slot the other's partner. *)
+let test_universe_chained_self_join () =
+  let r = relation_of "r" "a" (List.map Tuple.ints [ [ 1 ]; [ 1 ] ]) in
+  let grow = Relation.apply_delta r (Delta.of_lists ~adds:[ Tuple.ints [ 3 ] ] ~removes:[]) in
+  let shrink =
+    Relation.apply_delta grow.Relation.after
+      (Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 3 ]; Tuple.ints [ 1 ] ])
+  in
+  let u' =
+    Universe.apply_delta (Universe.build [ r; r ])
+      [ (0, grow); (1, grow); (0, shrink); (1, shrink) ]
+  in
+  let r' = relation_of "r" "a" [ Tuple.ints [ 1 ] ] in
+  check_agree "chained self-join changes = rebuild" (Universe.build [ r'; r' ]) u'
+
+(* A change carries the row indexes it claimed in one relation
+   version; patching a universe over another version with it must raise
+   rather than renumber the wrong rows. *)
+let test_universe_rejects_other_version () =
+  let rows_r = List.map Tuple.ints [ [ 1; 2 ]; [ 2; 1 ]; [ 1; 2 ] ] in
+  let rows_p = List.map Tuple.ints [ [ 1 ]; [ 2 ] ] in
+  let r = relation_of "r" "a" rows_r in
+  let u = Universe.build [ r; relation_of "p" "b" rows_p ] in
+  let grow = Relation.apply_delta r (Delta.of_lists ~adds:[ Tuple.ints [ 3; 3 ] ] ~removes:[]) in
+  let u' = Universe.apply_delta u [ (0, grow) ] in
+  let raises u c =
+    match Universe.apply_delta u [ (0, c) ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let shrink rel =
+    Relation.apply_delta rel (Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 1; 2 ] ])
+  in
+  Alcotest.(check bool) "a change from the older version raises" true
+    (raises u' (shrink r));
+  Alcotest.(check bool) "a change from the newer version raises" true
+    (raises u (shrink grow.Relation.after));
+  check_agree "a change from the current version applies"
+    (build_of (List.map Tuple.ints [ [ 2; 1 ]; [ 1; 2 ]; [ 3; 3 ] ]) rows_p)
+    (Universe.apply_delta u' [ (0, shrink grow.Relation.after) ])
 
 (* ---------------------- qcheck edit scripts ----------------------- *)
 
@@ -443,7 +557,7 @@ let run_script ?edges ~kary (init_r, batches) =
     | [] -> true
     | batch :: rest ->
         let d = delta_of_batch rows batch in
-        let u' = Universe.apply_delta u [ (0, d) ] in
+        let u' = patch u [ (0, d) ] in
         let rows' = apply_ref rows d in
         universes_agree (build rows') u' && go u' rows' rest
   in
@@ -488,7 +602,7 @@ let run_script_paged (init_r, batches) =
     | [] -> true
     | batch :: rest ->
         let d = delta_of_batch rows batch in
-        let u' = Universe.apply_delta u [ (0, d) ] in
+        let u' = patch u [ (0, d) ] in
         let rows' = apply_ref rows d in
         universes_agree (Universe.build [ relation_of "r" "a" rows'; p ]) u'
         && go u' rows' rest
@@ -512,6 +626,8 @@ let suite =
     Alcotest.test_case "dict intern_delta" `Quick test_intern_delta;
     Alcotest.test_case "catalog delta fingerprint = from-scratch fingerprint"
       `Quick test_catalog_delta_fingerprint;
+    Alcotest.test_case "catalog delta patches every paged entry" `Quick
+      test_catalog_paged_patches_every_entry;
     Alcotest.test_case "heap delete + reopen" `Quick test_heap_delete;
     Alcotest.test_case "heap frontier reclamation" `Quick
       test_heap_frontier_reclaim;
@@ -531,6 +647,10 @@ let suite =
     Alcotest.test_case "universe: drain, refill, empty raises" `Quick
       test_universe_drain_and_refill;
     Alcotest.test_case "universe: k-ary delta" `Quick test_universe_kary_delta;
+    Alcotest.test_case "universe: change from another version raises" `Quick
+      test_universe_rejects_other_version;
+    Alcotest.test_case "universe: chained changes on a self-join" `Quick
+      test_universe_chained_self_join;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

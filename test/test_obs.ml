@@ -249,12 +249,14 @@ let test_universe_build_counters () =
     [ 6; 8; 10; 60; 15 ] (counts ());
   (* Removing R's row 0 hits representatives, so the repair walk runs
      beside the remove and add walks. *)
-  let delta adds removes = Jqi_relational.Delta.of_lists ~adds ~removes in
+  let change rel adds removes =
+    Relation.apply_delta rel (Jqi_relational.Delta.of_lists ~adds ~removes)
+  in
   ignore
     (Universe.apply_delta u
        [
-         (0, delta [ Tuple.ints [ 5; 5 ] ] [ Tuple.ints [ 0; 1 ] ]);
-         (1, delta [ Tuple.ints [ 2; 2; 2 ] ] []);
+         (0, change r [ Tuple.ints [ 5; 5 ] ] [ Tuple.ints [ 0; 1 ] ]);
+         (1, change Fixtures.p0 [ Tuple.ints [ 2; 2; 2 ] ] []);
        ]
       : Universe.t);
   Alcotest.(check (list int)) "apply_delta adds no build counts"

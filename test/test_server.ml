@@ -1210,6 +1210,39 @@ let test_delta_reads_independent_of_sessions () =
   Alcotest.(check int) "rows read by a delta: 8 sessions vs 1"
     (delta_reads 1) (delta_reads 8)
 
+(* A delta resolves its removes in one scan that stops at the last
+   claimed row, writes the relation once and hashes the post-delta
+   version once.  Patching the cached universe reads no rows, so a
+   2-add + 2-remove delta reads (last claimed index + 1) + |post-delta|
+   rows. *)
+let test_delta_reads_one_scan () =
+  let reads = ref 0 in
+  let catalog = Catalog.create () in
+  Catalog.add catalog (counting_relation reads Fixtures.flight);
+  Catalog.add catalog (counting_relation reads Fixtures.hotel);
+  ignore (Catalog.universe catalog [ "Flight"; "Hotel" ]);
+  let rows = Relation.rows Fixtures.flight in
+  let d =
+    Delta.of_lists
+      ~adds:
+        [
+          Jqi_relational.Tuple.strs [ "Lille"; "Paris"; "AF" ];
+          Jqi_relational.Tuple.strs [ "NYC"; "Lille"; "AA" ];
+        ]
+      ~removes:[ rows.(1); rows.(0) ]
+  in
+  let mem = Relation.apply_delta Fixtures.flight d in
+  let last_claimed = mem.Relation.removed.(1) in
+  Alcotest.(check int) "the scan stops before the last row" 1 last_claimed;
+  reads := 0;
+  match Catalog.apply_delta catalog ~name:"Flight" d with
+  | None -> Alcotest.fail "Flight left the catalog"
+  | Some churn ->
+      Alcotest.(check int) "cached universe patched" 1 churn.Catalog.patched;
+      Alcotest.(check int) "rows read by the delta"
+        (last_claimed + 1 + Relation.cardinality mem.Relation.after)
+        !reads
+
 let suite =
   [
     Alcotest.test_case "catalog cache" `Quick test_catalog_cache;
@@ -1250,4 +1283,6 @@ let suite =
       test_repeat_open_reads_no_rows;
     Alcotest.test_case "delta reads are independent of live sessions" `Quick
       test_delta_reads_independent_of_sessions;
+    Alcotest.test_case "delta reads one resolution scan" `Quick
+      test_delta_reads_one_scan;
   ]
