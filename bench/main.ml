@@ -1028,9 +1028,19 @@ let run_storage ~full ~seed =
    batch size, half deletions of live rows and half fresh insertions,
    and the final universes must be byte-identical — the differential
    guarantee test/test_churn.ml pins per batch, asserted here end to
-   end and by CI on the emitted BENCH_CHURN.json.  The crossover is the
-   smallest batch size at which a full rebuild amortizes better than
-   patching (null when patching wins everywhere measured). *)
+   end and by CI on the emitted BENCH_CHURN.json.  The incremental
+   chain is the catalog's delta path: [Relation.apply_delta], the
+   fingerprint derived with [Relation.digest_after] (checked against a
+   fresh [Relation.fingerprint] at the end) and [Universe.apply_delta].
+   The crossover is the smallest batch size at which a full rebuild
+   amortizes better than patching (null when patching wins everywhere
+   measured).
+
+   A second sweep grows R (1k and 4k rows, 16k with --full) at batch 1
+   and records, besides updates/s, three deterministic counts per
+   update that CI gates: rows read by the resolution scan, rows hashed
+   for fingerprints (that scan's rows included) and R_0 profiles walked
+   by rep repairs. *)
 let run_churn ~full ~seed =
   let module Json = Jqi_util.Json in
   let module Relation = Jqi_relational.Relation in
@@ -1041,24 +1051,29 @@ let run_churn ~full ~seed =
   let rows = if full then 4_000 else 1_000 in
   let values = 8 in
   let total_updates = if full then 512 else 128 in
-  let cfg = Synth.config 3 3 rows values in
-  let r0, p = Synth.generate (Prng.create seed) cfg in
-  let arity = Jqi_relational.Schema.arity (Relation.schema r0) in
-  (* One edit script per batch size, deterministic in the seed: each
-     batch removes ⌊b/2⌋ live R-rows (tracked through the script, so a
-     row is never claimed twice) and inserts ⌈b/2⌉ fresh rows from the
-     generator's distribution. *)
-  let gen_script ~batch =
+  let instance rows =
+    Synth.generate (Prng.create seed) (Synth.config 3 3 rows values)
+  in
+  let r0, p = instance rows in
+  (* One edit script per (relation, batch size), deterministic in the
+     seed: half the updates remove live R-rows (tracked through the
+     script, so a row is never claimed twice) and half insert fresh rows
+     from the generator's distribution.  Batch j removes
+     ⌊(j+1)·b/2⌋ − ⌊j·b/2⌋ rows, so at b = 1 inserts and removes
+     alternate. *)
+  let gen_script r0 ~batch ~updates =
+    let arity = Jqi_relational.Schema.arity (Relation.schema r0) in
     let prng = Prng.create (seed + batch) in
-    let n_batches = max 1 (total_updates / batch) in
+    let n_batches = max 1 (updates / batch) in
     (* Live R-rows as a swap-remove array with an explicit count, so
        picking and deleting a random live row is O(1). *)
     let base = Relation.rows r0 in
     let live = Array.make (Array.length base + (batch * n_batches)) base.(0) in
     Array.blit base 0 live 0 (Array.length base);
     let n_live = ref (Array.length base) in
-    List.init n_batches (fun _ ->
-        let n_rm = batch / 2 and n_add = batch - (batch / 2) in
+    List.init n_batches (fun j ->
+        let n_rm = ((j + 1) * batch / 2) - (j * batch / 2) in
+        let n_add = batch - n_rm in
         let removes =
           List.init n_rm (fun _ ->
               let i = Prng.int prng !n_live in
@@ -1092,6 +1107,23 @@ let run_churn ~full ~seed =
     in
     go 0
   in
+  (* The incremental chain over [script] from [r0] × [p]: the final
+     relation, universe and fingerprint, and the seconds it took. *)
+  let incremental r0 p script =
+    let r = ref r0 and u = ref (Universe.build [ r0; p ]) in
+    let fp = ref (Relation.digest r0) in
+    let (), secs =
+      Jqi_util.Timer.time (fun () ->
+          List.iter
+            (fun d ->
+              let change = Relation.apply_delta !r d in
+              r := change.Relation.after;
+              fp := Relation.digest_after !fp change;
+              u := Universe.apply_delta !u [ (0, change) ])
+            script)
+    in
+    (!r, !u, Relation.digest_hex !fp, secs)
+  in
   let u0 = Universe.build [ r0; p ] in
   Printf.printf
     "  instance: R×P %d×%d rows, %d values/attr, %d classes; %d row \
@@ -1102,22 +1134,10 @@ let run_churn ~full ~seed =
   let measurements =
     List.map
       (fun batch ->
-        let script = gen_script ~batch in
+        let script = gen_script r0 ~batch ~updates:total_updates in
         let n_batches = max 1 (total_updates / batch) in
         let updates = batch * n_batches in
-        (* Incremental chain: apply the delta to the relation once and
-           patch the live universe with that change, per batch. *)
-        let r_inc = ref r0 in
-        let u_inc = ref (Universe.build [ r0; p ]) in
-        let (), inc_s =
-          Jqi_util.Timer.time (fun () ->
-              List.iter
-                (fun d ->
-                  let change = Relation.apply_delta !r_inc d in
-                  r_inc := change.Relation.after;
-                  u_inc := Universe.apply_delta !u_inc [ (0, change) ])
-                script)
-        in
+        let r_inc, u_inc, fp_inc, inc_s = incremental r0 p script in
         (* Rebuild chain: fold the delta into the relation, then build
            the universe from scratch — the pre-pipeline behaviour. *)
         let r_cur = ref r0 in
@@ -1130,7 +1150,10 @@ let run_churn ~full ~seed =
                   u_rb := Universe.build [ !r_cur; p ])
                 script)
         in
-        let identical = universes_equal !u_inc !u_rb in
+        let identical =
+          universes_equal u_inc !u_rb
+          && String.equal fp_inc (Relation.fingerprint r_inc)
+        in
         let inc_ups = float updates /. inc_s in
         let rb_ups = float updates /. rb_s in
         Printf.printf
@@ -1158,6 +1181,64 @@ let run_churn ~full ~seed =
     "  speedup at batch 1: %.1fx (floor: 5x); crossover batch: %s\n"
     speedup_at_1
     (match crossover with Some b -> string_of_int b | None -> "none measured");
+  (* Row sweep at batch 1: updates/s is the best of three timed runs,
+     and the counts come from one more, traced run of the same script,
+     so the timed runs carry no Obs cost. *)
+  let count_names =
+    [ "relation.resolve_rows"; "relation.rows_hashed"; "universe.repair_profiles" ]
+  in
+  let sweep_updates = 256 in
+  let sweep =
+    List.map
+      (fun n ->
+        let r0, p = instance n in
+        let script = gen_script r0 ~batch:1 ~updates:sweep_updates in
+        let r, u, fp, secs = incremental r0 p script in
+        let secs =
+          List.fold_left
+            (fun best _ ->
+              let _, _, _, s = incremental r0 p script in
+              Float.min best s)
+            secs [ 2; 3 ]
+        in
+        let was_enabled = Obs.enabled () in
+        Obs.reset ();
+        Obs.set_enabled true;
+        ignore (incremental r0 p script);
+        let report = Obs.Report.snapshot () in
+        Obs.set_enabled was_enabled;
+        let counts =
+          List.map (fun name -> (name, Obs.Report.counter report name)) count_names
+        in
+        (* The timed chain's own first [Relation.digest] and the traced
+           chain's builds are not per-update work. *)
+        let counts =
+          List.map
+            (fun (name, c) ->
+              (name, if String.equal name "relation.rows_hashed" then c - n else c))
+            counts
+        in
+        let ok =
+          universes_equal u (Universe.build [ r; p ])
+          && String.equal fp (Relation.fingerprint r)
+        in
+        let ups = float sweep_updates /. secs in
+        Printf.printf
+          "  %5d rows, batch 1: %7.0f updates/s; per update %s; %s\n" n ups
+          (String.concat ", "
+             (List.map
+                (fun (name, c) ->
+                  Printf.sprintf "%s %.1f" name (float c /. float sweep_updates))
+                counts))
+          (if ok then "identical" else "DIVERGED");
+        (n, ups, counts, ok))
+      (if full then [ 1_000; 4_000; 16_000 ] else [ 1_000; 4_000 ])
+  in
+  (match (sweep, List.rev sweep) with
+  | (n0, ups0, _, _) :: _, (n1, ups1, _, _) :: _ ->
+      Printf.printf "  batch-1 updates/s at %d rows / at %d rows: %.2fx\n" n0 n1
+        (ups0 /. ups1)
+  | [], _ | _, [] -> ());
   let path = "BENCH_CHURN.json" in
   Json.save_file path
     (Json.Obj
@@ -1191,6 +1272,23 @@ let run_churn ~full ~seed =
          ("speedup_at_batch_1", Json.Num speedup_at_1);
          ( "crossover_batch",
            match crossover with Some b -> Json.int b | None -> Json.Null );
+         ( "sweep",
+           Json.List
+             (List.map
+                (fun (n, ups, counts, ok) ->
+                  Json.Obj
+                    (List.concat
+                       [
+                         [
+                           ("rows", Json.int n);
+                           ("batch", Json.int 1);
+                           ("updates", Json.int sweep_updates);
+                           ("updates_per_s", Json.Num ups);
+                           ("identical", Json.Bool ok);
+                         ];
+                         List.map (fun (name, c) -> (name, Json.int c)) counts;
+                       ]))
+                sweep) );
        ]);
   Printf.printf "wrote %s\n" path
 

@@ -19,12 +19,21 @@ module Vec = Jqi_util.Vec
 
 type cls = { signature : Bits.t; count : int; rep : int array }
 
+(* A row profile: a code vector, how many rows carry it, and the
+   smallest of them.  Mutable only while a grouping pass builds it;
+   profiles kept in a delta cache are never written again. *)
+type profile = { codes : int array; mutable multiplicity : int; first_row : int }
+
+(* One relation slot of a delta cache: the code vector of every row, and
+   the rows grouped into profiles in ascending first-row order. *)
+type slot = { row_codes : int array array; profs : profile array }
+
 (* Carried forward along a chain of [apply_delta] calls so each batch
    pays only for the changed rows: the shared dictionary (append-only —
-   codes are never recycled, mirroring [Dict]'s contract) and one code
-   vector per row per relation.  Lazily built on the first delta; rows
-   of unchanged relations share their arrays across universes. *)
-type delta_cache = { dict : Dict.t; codes : int array array array }
+   codes are never recycled, mirroring [Dict]'s contract) and one slot
+   per relation.  Lazily built on the first delta; slots of unchanged
+   relations are shared across universes. *)
+type delta_cache = { dict : Dict.t; slots : slot array }
 
 type t = {
   omega : Omega.t;
@@ -171,8 +180,6 @@ module W = Hashtbl.Make (struct
   let hash a = mix (Array.fold_left (fun acc w -> (acc * 486187739) + w) 0 a)
 end)
 
-type profile = { codes : int array; mutable multiplicity : int; first_row : int }
-
 (* Group a relation's rows by code vector, in first-seen (i.e.
    ascending first-row) order; [first_row] is the smallest row index of
    the group because rows are scanned in ascending order.
@@ -203,6 +210,7 @@ let c_pairs_skipped = Obs.Counter.make "universe.pairs_skipped"
 let c_pairs_touched = Obs.Counter.make "universe.pairs_touched"
 let c_kary_work = Obs.Counter.make "universe.kary_work"
 let c_kary_collapsed = Obs.Counter.make "universe.kary_collapsed"
+let c_repair_profiles = Obs.Counter.make "universe.repair_profiles"
 
 (* A relation's profiles indexed as code → (profile, column) postings,
    in CSR form: the postings of code c are [start.(c) .. start.(c+1)-1].
@@ -287,8 +295,14 @@ let rep_cand rows m j tail =
    Cost O(Σ d_i·arity + postings visited + touched profiles · words)
    per prefix, against ∏ d_i·|Ω| for comparing every combination.
    [work] counts class merges; past [limit] the walk raises
-   [Kary_too_large]. *)
-let classes_of ?(limit = max_int) ~n_codes omega profs =
+   [Kary_too_large].
+
+   Early stop: the top stage walks R_0's profiles from index [from] on,
+   and [until] sees the signature words of each class it mints.  Once
+   [until] has returned [true], the walk ends after the current R_0
+   profile, whose classes are then complete; the result holds only the
+   classes met so far.  The suffix stages are always built whole. *)
+let classes_of ?(limit = max_int) ?(from = 0) ?until ~n_codes omega profs =
   let k = Array.length profs in
   let last = k - 1 in
   if Array.exists (fun ps -> Int.equal (Array.length ps) 0) profs then []
@@ -384,6 +398,7 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
     (* suffix.(j), 1 <= j <= k-2: the classes of R_j × … × R_{k-1} as
        word arrays with suffix-length representatives. *)
     let suffix = Array.make k [] in
+    let stop = ref false in
     let stage m =
       let tbl = W.create 256 in
       (* Merge into the class whose signature is in [key] a member of
@@ -398,7 +413,10 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
             if rep_below rows m (j - m) tail cl.k_rep 0 then
               cl.k_rep <- rep_cand rows m j tail
         | None ->
-            W.add tbl (Array.copy key) { k_count = count; k_rep = rep_cand rows m j tail }
+            let w = Array.copy key in
+            W.add tbl w { k_count = count; k_rep = rep_cand rows m j tail };
+            if Int.equal m 0 then
+              Option.iter (fun f -> if f w then stop := true) until
       in
       let rec level j mult touched =
         let src = sig_at.(j) and sc = scratch.(j) in
@@ -457,12 +475,17 @@ let classes_of ?(limit = max_int) ~n_codes omega profs =
             profs.(j)
         end
       in
-      Array.iteri
-        (fun a p ->
-          cur.(m) <- a;
-          rows.(m) <- p.first_row;
-          level (m + 1) p.multiplicity (touch_of m a))
-        profs.(m);
+      let first = if Int.equal m 0 then from else 0 in
+      let a = ref first in
+      while !a < Array.length profs.(m) && not !stop do
+        let p = profs.(m).(!a) in
+        cur.(m) <- !a;
+        rows.(m) <- p.first_row;
+        level (m + 1) p.multiplicity (touch_of m !a);
+        incr a
+      done;
+      if Int.equal m 0 && Option.is_some until then
+        Obs.Counter.add c_repair_profiles (!a - first);
       W.fold (fun w cl l -> (w, cl.k_count, cl.k_rep) :: l) tbl []
     in
     for m = k - 2 downto 1 do
@@ -578,11 +601,17 @@ let build_sampled prng ~tuples rels =
 
    Each contribution is one call of [classes_of], the builders' core,
    with the changed relation's slot holding the profiles of its removed
-   (or added) rows and every other slot its partners' profiles.  A batch
-   of b changed rows against partners with d distinct profiles costs
-   O(rows) integer re-grouping plus the core's walk over b_profiles × d,
-   which pays only for the pairs sharing a code — the updates/s gap
-   `bench churn` measures.
+   (or added) rows and every other slot its partners' profiles.  Those
+   come from the delta cache, which keeps every slot's profile table in
+   ascending first-row order: a partner's table is reused as it is, and
+   the changed slot's table is updated from the delta (multiplicities go
+   up or down, first rows renumber like reps, and a profile that lost
+   its first row looks up its next one).  A batch of b changed rows
+   against partners with d distinct profiles costs O(d) table upkeep
+   plus the core's walk over b_profiles × d, which pays only for the
+   pairs sharing a code.  The O(rows) terms left are the copy of the
+   changed slot's code array and, for a profile that lost its first
+   row, the scan to its next one.
 
    Representatives stay lexicographically smallest:
    - survivors renumber monotonically (new = old − #removed below), so a
@@ -590,21 +619,34 @@ let build_sampled prng ~tuples rels =
    - added combinations min-merge their candidate vectors in, and a
      signature unseen before can only arise from added rows, so minted
      classes take the add-side minimum;
-   - a class whose rep row was deleted is "damaged": a repair pass runs
-     the core over the post-delta profiles, whose class reps are the
-     minimum over every member, and each damaged class takes its rep
-     from there — only when a deletion actually hit a representative.
+   - a class whose rep row was deleted is "damaged".  Its surviving
+     members all have an R_0 row at or past its old rep's (renumbered
+     when R_0 changed), because that rep was the minimum.  Reps are
+     lexicographic, so the R_0 row decides first: the repair walks R_0's
+     profiles in first-row order from the lowest damaged start, and the
+     first profile that meets a class gives it its minimum over every
+     member in that profile or later.  The walk stops once every damaged
+     class has been met.  When the changed slot is not R_0, an added
+     row can make a member below that start, so the plus step keeps its
+     add-side minimum for damaged classes too.  A class whose add-side
+     minimum sorts below its start takes it and needs no walk; for any
+     other class, no added member sorts below what the walk finds.
 
    Classes whose multiplicity reaches zero retire; any signature going
    negative, or a remove that matches no row, raises [Invalid_argument].
    The result is byte-identical to a from-scratch [build] on the
    post-delta relations (test/test_churn.ml pins this
-   differentially on random edit scripts, Mem and Paged). *)
+   differentially on random edit scripts, Mem and Paged, churning every
+   slot). *)
 
 module Delta = Jqi_relational.Delta
 
-(* Mutable per-class adjustment; [a_rep = None] marks damage. *)
-type adj = { mutable a_count : int; mutable a_rep : int array option }
+(* A class's representative during a step: known, or damaged with the
+   R_0 row its surviving members start at and the add-side minimum. *)
+type rep = Rep of int array | Damaged of { start : int; cand : int array option }
+
+(* Mutable per-class adjustment. *)
+type adj = { mutable a_count : int; mutable a_rep : rep }
 
 (* Slot codes before change [c], from the codes [post] after it: the
    survivors with the claimed rows put back at their indexes. *)
@@ -620,30 +662,6 @@ let unapply dict post (c : Relation.change) =
     else pre.(i) <- post.(i - !j)
   done;
   pre
-
-(* The delta cache a batch starts from: the universe's own, or a fresh
-   encoding.  A changed relation is encoded from its last [after] with
-   each change undone in turn, because a paged store is written in
-   place and can no longer read its pre-delta rows.  A fresh encoding
-   depends on the batch's changes, so it is not kept on [t]. *)
-let delta_cache t rels deltas =
-  match t.cache with
-  | Some c -> c
-  | None ->
-      let total_rows =
-        Array.fold_left (fun s r -> s + Relation.cardinality r) 0 rels
-      in
-      let dict = Dict.create ~size:total_rows () in
-      let encode i r =
-        let of_slot (j, c) = if Int.equal i j then Some c else None in
-        match List.filter_map of_slot (List.rev deltas) with
-        | [] -> Dict.encode_rows dict r
-        | last :: _ as changes ->
-            List.fold_left (unapply dict)
-              (Dict.encode_rows dict last.Relation.after)
-              changes
-      in
-      { dict; codes = Array.mapi encode rels }
 
 (* Group a code matrix into profiles (first-seen order, like
    [stream_profiles], but over already-encoded rows — integer hashing
@@ -662,16 +680,124 @@ let group_codes codes =
     codes;
   Vec.to_array order
 
-(* Position of [x] among the sorted [removed] indexes: [None] when [x]
-   itself was removed, else [Some] of its post-delta index. *)
-let renumber removed x =
+(* The delta cache a batch starts from: the universe's own, or a fresh
+   encoding.  A changed relation is encoded from its last [after] with
+   each change undone in turn, because a paged store is written in
+   place and can no longer read its pre-delta rows.  A fresh encoding
+   depends on the batch's changes, so it is not kept on [t]. *)
+let delta_cache t rels deltas =
+  match t.cache with
+  | Some c -> c
+  | None ->
+      let total_rows =
+        Array.fold_left (fun s r -> s + Relation.cardinality r) 0 rels
+      in
+      let dict = Dict.create ~size:total_rows () in
+      let encode i r =
+        let of_slot (j, c) = if Int.equal i j then Some c else None in
+        let row_codes =
+          match List.filter_map of_slot (List.rev deltas) with
+          | [] -> Dict.encode_rows dict r
+          | last :: _ as changes ->
+              List.fold_left (unapply dict)
+                (Dict.encode_rows dict last.Relation.after)
+                changes
+        in
+        { row_codes; profs = group_codes row_codes }
+      in
+      { dict; slots = Array.mapi encode rels }
+
+(* How many of the sorted [removed] indexes lie below [x]. *)
+let rank removed x =
   let lo = ref 0 and hi = ref (Array.length removed) in
   while !lo < !hi do
     let mid = !lo + ((!hi - !lo) / 2) in
     if removed.(mid) < x then lo := mid + 1 else hi := mid
   done;
-  if !lo < Array.length removed && Int.equal removed.(!lo) x then None
-  else Some (x - !lo)
+  !lo
+
+let is_removed removed below x =
+  below < Array.length removed && Int.equal removed.(below) x
+
+(* A slot's profile table after a change, from the table [profs] and
+   codes [old_codes] before it and the codes [row_codes] after it (the
+   survivors, then the adds from index [survivors]).  A profile keeps
+   its place in first-row order unless it lost its first row; those
+   move to their next row, and profiles minted by the adds come last. *)
+let update_profiles profs ~removed ~old_codes ~row_codes ~survivors =
+  let n_profs = Array.length profs in
+  let index = PH.create (2 * n_profs) in
+  Array.iteri (fun a p -> PH.replace index p.codes a) profs;
+  let mult = Array.map (fun p -> p.multiplicity) profs in
+  let profile_of cv =
+    match PH.find_opt index cv with
+    | Some a -> a
+    | None -> invalid_arg "Universe.apply_delta: removed row outside the cache"
+  in
+  Array.iter
+    (fun i ->
+      let a = profile_of old_codes.(i) in
+      mult.(a) <- mult.(a) - 1)
+    removed;
+  let fresh = PH.create 16 and minted = Vec.create () in
+  for x = survivors to Array.length row_codes - 1 do
+    let cv = row_codes.(x) in
+    match PH.find_opt index cv with
+    | Some a when mult.(a) > 0 -> mult.(a) <- mult.(a) + 1
+    | Some _ | None -> (
+        match PH.find_opt fresh cv with
+        | Some p -> p.multiplicity <- p.multiplicity + 1
+        | None ->
+            let p = { codes = cv; multiplicity = 1; first_row = x } in
+            PH.add fresh cv p;
+            Vec.push minted p)
+  done;
+  let kept = Vec.create () and moved = Vec.create () in
+  Array.iteri
+    (fun a p ->
+      let m = mult.(a) in
+      if m > 0 then begin
+        let below = rank removed p.first_row in
+        if is_removed removed below p.first_row then begin
+          (* its other rows all survive past the old first row's place *)
+          let x = ref (p.first_row - below) in
+          while !x < survivors && not (Profile.equal row_codes.(!x) p.codes) do
+            incr x
+          done;
+          if !x >= survivors then
+            invalid_arg "Universe.apply_delta: profile lost every row";
+          Vec.push moved { p with multiplicity = m; first_row = !x }
+        end
+        else if Int.equal m p.multiplicity && Int.equal below 0 then Vec.push kept p
+        else Vec.push kept { p with multiplicity = m; first_row = p.first_row - below }
+      end)
+    profs;
+  let moved = Vec.to_array moved in
+  Array.sort (fun p q -> Int.compare p.first_row q.first_row) moved;
+  let out = Vec.create () and j = ref 0 in
+  Vec.iter
+    (fun p ->
+      while !j < Array.length moved && moved.(!j).first_row < p.first_row do
+        Vec.push out moved.(!j);
+        incr j
+      done;
+      Vec.push out p)
+    kept;
+  for i = !j to Array.length moved - 1 do
+    Vec.push out moved.(i)
+  done;
+  Vec.iter (Vec.push out) minted;
+  Vec.to_array out
+
+(* The first profile of [profs] (ascending first rows) whose first row
+   is at least [row]. *)
+let first_profile_at profs row =
+  let lo = ref 0 and hi = ref (Array.length profs) in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if profs.(mid).first_row < row then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let apply_delta t deltas =
   Obs.span "universe.apply_delta" @@ fun () ->
@@ -694,44 +820,69 @@ let apply_delta t deltas =
         invalid_arg "Universe.apply_delta: change from another relation version")
     deltas;
   let cache = delta_cache t rels deltas in
-  let codes = Array.copy cache.codes in
+  let slots = Array.copy cache.slots in
   let dict = cache.dict in
+  let width = Omega.width t.omega in
   let tbl = H.create (max 64 (2 * Array.length t.classes)) in
   Array.iter
     (fun c ->
-      H.replace tbl c.signature
-        { a_count = c.count; a_rep = Some (Array.copy c.rep) })
+      H.replace tbl c.signature { a_count = c.count; a_rep = Rep (Array.copy c.rep) })
     t.classes;
+  (* The classes of the product with every slot's current profiles,
+     relation [ridx]'s replaced by [slot] when given. *)
+  let classes_with ?from ?until ?slot ridx =
+    let profs = Array.map (fun s -> s.profs) slots in
+    Option.iter (fun ps -> profs.(ridx) <- ps) slot;
+    classes_of ?from ?until ~n_codes:(Dict.size dict) t.omega profs
+  in
+  (* A damaged class whose add-side minimum sorts below its start takes
+     it.  Every other member of every other damaged class lies in an R_0
+     profile at or past the lowest start, so the walk from there gives
+     them their minimum; an add-side one is no smaller. *)
+  let repair () =
+    let pending = H.create 16 and lo = ref max_int in
+    H.iter
+      (fun s a ->
+        match a.a_rep with
+        | Rep _ -> ()
+        | Damaged { start; cand = Some c } when c.(0) < start -> a.a_rep <- Rep c
+        | Damaged { start; cand = _ } ->
+            H.replace pending s a;
+            lo := min !lo start)
+      tbl;
+    if H.length pending > 0 then begin
+      let left = ref (H.length pending) in
+      let until w =
+        if H.mem pending (Bits.of_words width w) then decr left;
+        Int.equal !left 0
+      in
+      let from = first_profile_at slots.(0).profs !lo in
+      List.iter
+        (fun (s, _, rep) ->
+          match H.find_opt pending s with
+          | Some a -> a.a_rep <- Rep rep
+          | None -> ())
+        (classes_with ~from ~until 0)
+    end
+  in
   let step (ridx, (c : Relation.change)) =
     let d = c.delta and removed = c.removed in
     if not (Delta.is_empty d) then begin
       let add_codes = Dict.intern_delta dict d in
-      let old_codes = codes.(ridx) in
+      let old_codes = slots.(ridx).row_codes in
       let n_removed = Array.length removed in
       let survivors = Array.length old_codes - n_removed in
-      let new_codes = Array.make (survivors + Array.length add_codes) [||] in
+      let row_codes = Array.make (survivors + Array.length add_codes) [||] in
       let w = ref 0 and j = ref 0 in
       Array.iteri
         (fun i cv ->
           if !j < n_removed && Int.equal removed.(!j) i then incr j
           else begin
-            new_codes.(!w) <- cv;
+            row_codes.(!w) <- cv;
             incr w
           end)
         old_codes;
-      Array.iteri (fun i cv -> new_codes.(survivors + i) <- cv) add_codes;
-      (* The classes of the product with relation [ridx]'s slot holding
-         [slot] and every other slot its current profiles. *)
-      let partner_profs =
-        Array.mapi
-          (fun ji cm -> if Int.equal ji ridx then [||] else group_codes cm)
-          codes
-      in
-      let classes_with slot =
-        let profs = Array.copy partner_profs in
-        profs.(ridx) <- slot;
-        classes_of ~n_codes:(Dict.size dict) t.omega profs
-      in
+      Array.blit add_codes 0 row_codes survivors (Array.length add_codes);
       (* minus: removed rows re-join into profile groups and decrement *)
       List.iter
         (fun (s, count, _) ->
@@ -739,7 +890,8 @@ let apply_delta t deltas =
           | Some a when a.a_count >= count -> a.a_count <- a.a_count - count
           | Some _ | None ->
               invalid_arg "Universe.apply_delta: delta inconsistent with the universe")
-        (classes_with (group_codes (Array.map (fun i -> old_codes.(i)) removed)));
+        (classes_with ridx
+           ~slot:(group_codes (Array.map (fun i -> old_codes.(i)) removed)));
       (* retire emptied classes before adds can re-mint their signature *)
       let retired =
         H.fold (fun s a acc -> if Int.equal a.a_count 0 then s :: acc else acc)
@@ -751,34 +903,45 @@ let apply_delta t deltas =
         H.iter
           (fun _ a ->
             match a.a_rep with
-            | None -> ()
-            | Some rep -> (
-                match renumber removed rep.(ridx) with
-                | Some x -> rep.(ridx) <- x
-                | None -> a.a_rep <- None))
+            | Damaged _ -> ()
+            | Rep rep ->
+                let x = rep.(ridx) in
+                let below = rank removed x in
+                if is_removed removed below x then
+                  a.a_rep <-
+                    Damaged
+                      {
+                        start = (if Int.equal ridx 0 then x - below else rep.(0));
+                        cand = None;
+                      }
+                else rep.(ridx) <- x - below)
           tbl;
       (* plus: added rows land in existing classes or mint new ones *)
       List.iter
         (fun (s, count, rep) ->
           match H.find_opt tbl s with
-          | Some a ->
+          | Some a -> (
               a.a_count <- a.a_count + count;
-              Option.iter (fun rep' -> a.a_rep <- Some (rep_min rep' rep)) a.a_rep
-          | None -> H.replace tbl s { a_count = count; a_rep = Some rep })
-        (classes_with
-           (Array.map
-              (fun p -> { p with first_row = survivors + p.first_row })
-              (group_codes add_codes)));
-      (* rep repair: damaged classes take the post-delta minimum *)
-      if H.fold (fun _ a damaged -> damaged || Option.is_none a.a_rep) tbl false
-      then
-        List.iter
-          (fun (s, _, rep) ->
-            match H.find_opt tbl s with
-            | Some ({ a_rep = None; _ } as a) -> a.a_rep <- Some rep
-            | Some _ | None -> ())
-          (classes_with (group_codes new_codes));
-      codes.(ridx) <- new_codes
+              match a.a_rep with
+              | Rep rep' -> a.a_rep <- Rep (rep_min rep' rep)
+              | Damaged dm ->
+                  a.a_rep <-
+                    Damaged
+                      { dm with cand = Some (Option.fold ~none:rep ~some:(rep_min rep) dm.cand) })
+          | None -> H.replace tbl s { a_count = count; a_rep = Rep rep })
+        (classes_with ridx
+           ~slot:
+             (Array.map
+                (fun p -> { p with first_row = survivors + p.first_row })
+                (group_codes add_codes)));
+      slots.(ridx) <-
+        {
+          row_codes;
+          profs =
+            update_profiles slots.(ridx).profs ~removed ~old_codes ~row_codes
+              ~survivors;
+        };
+      repair ()
     end;
     rels.(ridx) <- c.after
   in
@@ -787,15 +950,15 @@ let apply_delta t deltas =
     H.fold
       (fun s a acc ->
         match a.a_rep with
-        | Some rep -> (s, a.a_count, rep) :: acc
-        | None -> invalid_arg "Universe.apply_delta: unrepaired class")
+        | Rep rep -> (s, a.a_count, rep) :: acc
+        | Damaged _ -> invalid_arg "Universe.apply_delta: unrepaired class")
       tbl []
   in
   (match sigs with
   | [] -> invalid_arg "Universe.apply_delta: empty Cartesian product"
   | _ :: _ -> ());
   { (of_signature_list ~relations:rels t.omega sigs) with
-    cache = Some { dict; codes } }
+    cache = Some { dict; slots } }
 
 let omega t = t.omega
 let classes t = t.classes

@@ -104,19 +104,25 @@ val of_signature_list :
     and representatives are kept lexicographically smallest by
     min-merge — with a repair pass when a deletion hits a
     representative row.  Each pass is one run of {!build}'s walk, with
-    relation [i]'s removed, added or post-delta profiles in its slot,
-    and none of them is subject to a work limit.  The result, holding
-    each [c.after] in its slot, is {e byte-identical} to a from-scratch
-    {!build} over the post-delta relations (pinned differentially in
-    test/test_churn.ml), at a per-batch cost proportional to the
-    changed rows' profile combinations — `bench churn` measures the gap.
+    relation [i]'s removed or added profiles in its slot, and none of
+    them is subject to a work limit; the repair walks relation 0's
+    post-delta profiles in first-row order from the lowest damaged
+    representative and stops once every damaged class has been met.
+    The result, holding each [c.after] in its slot, is
+    {e byte-identical} to a from-scratch {!build} over the post-delta
+    relations (pinned differentially in test/test_churn.ml), at a
+    per-batch cost proportional to the changed rows' profile
+    combinations plus upkeep of the changed relation's profile table
+    — `bench churn` measures the gap.
 
     Nothing is resolved or written here, so one change patches every
     universe over its relation, a self-join included (once per
-    position).  A signature-interning cache rides along the universe
-    chain; the first delta after a fresh build encodes each changed
-    relation from its last [after] and puts the claimed rows back,
-    since a [Paged] store is already written in place.
+    position).  A cache rides along the universe chain: the shared
+    value dictionary, and every relation's row codes and profile table,
+    which a partner relation reuses until it changes itself.  The first
+    delta after a fresh build makes it, encoding each changed relation
+    from its last [after] and putting the claimed rows back, since a
+    [Paged] store is already written in place.
 
     Raises [Invalid_argument] when the universe was built without
     relations, on an unknown relation index, on a change whose [after]

@@ -31,6 +31,8 @@ module Backend = struct
   type t = Mem of Tuple.t array | Paged of paged
 end
 
+module Obs = Jqi_obs.Obs
+
 type t = { name : string; schema : Schema.t; backend : Backend.t }
 
 let create ~name ~schema rows =
@@ -120,10 +122,142 @@ let pp ppf t =
     Fmt.pf ppf "@,  ... (%d more)" (cardinality t - shown);
   Fmt.pf ppf "@]"
 
+(* ---- content fingerprints ---- *)
+
+(* A relation's fingerprint combines one FNV-1a hash per row, in row
+   order, as a polynomial modulo the Mersenne prime p = 2^61 - 1:
+   poly = h_0·B^(n-1) + … + h_(n-1) (Horner order, so appending a row is
+   [poly·B + h]).  A row hash is 64-bit FNV-1a over a canonical
+   serialization of the row's cells: each cell is fed with a type tag
+   (and floats by their IEEE bits), so values that merely render alike
+   — Null vs Str "", Int 1 vs Str "1" — cannot collide structurally.
+   The header hash (FNV-1a over name and schema), the row count and the
+   polynomial are folded into the rendered 16 hex digits.
+
+   Because the combination is a polynomial, a delta updates it without
+   reading the untouched rows: the resolution scan hashes the rows it
+   reads anyway (see [resolve_removes]), and [digest_after] derives the
+   post-delta polynomial from the pre-delta one in O(|adds| + log n).
+
+   The field arithmetic is branchless: its sums are uniform over the
+   field, so a branch on them would mispredict about every other row. *)
+
+let fp_p = (1 lsl 61) - 1
+
+(* Below 2^30, so one Horner step needs two short products. *)
+let fp_base = 0x2f1b3a95
+
+(* x mod p, for 0 <= x < 2^62. *)
+let reduce x =
+  let t = (x land fp_p) + (x lsr 61) - fp_p in
+  t + ((t asr 62) land fp_p)
+
+let addmod a b =
+  let t = a + b - fp_p in
+  t + ((t asr 62) land fp_p)
+
+let submod a b =
+  let t = a - b in
+  t + ((t asr 62) land fp_p)
+
+(* a·b mod p for a, b < p, on 31-bit halves so no product leaves the
+   63-bit int: a·b = hi·2^62 + mid·2^31 + lo, and 2^61 ≡ 1. *)
+let mulmod a b =
+  let m31 = (1 lsl 31) - 1 and m30 = (1 lsl 30) - 1 in
+  let ah = a lsr 31 and al = a land m31 and bh = b lsr 31 and bl = b land m31 in
+  let hi = ah * bh and mid = (ah * bl) + (al * bh) and lo = al * bl in
+  addmod
+    (addmod (reduce ((hi lsl 1) + (mid lsr 30))) (reduce ((mid land m30) lsl 31)))
+    (reduce lo)
+
+(* x·B mod p for x < p: with x = xh·2^31 + xl, x·B = q·2^31 + xl·B for
+   q = xh·B < 2^60, and q·2^31 ≡ (q lsr 30) + (q mod 2^30)·2^31. *)
+let times_base x =
+  let q = (x lsr 31) * fp_base in
+  reduce
+    ((q lsr 30) + ((q land ((1 lsl 30) - 1)) lsl 31) + ((x land ((1 lsl 31) - 1)) * fp_base))
+
+let rec powmod b e =
+  if Int.equal e 0 then 1
+  else
+    let h = powmod (mulmod b b) (e lsr 1) in
+    if Int.equal (e land 1) 0 then h else mulmod h b
+
+let feed_byte h b =
+  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) 0x100000001b3L
+
+let feed_string h s =
+  (* Length prefix keeps "ab"+"c" distinct from "a"+"bc". *)
+  let h = feed_byte (feed_byte h (String.length s)) (String.length s lsr 8) in
+  String.fold_left (fun h c -> feed_byte h (Char.code c)) h s
+
+let feed_int64 h x =
+  let h = ref h in
+  for shift = 0 to 7 do
+    h := feed_byte !h (Int64.to_int (Int64.shift_right_logical x (shift * 8)))
+  done;
+  !h
+
+(* A cell after its type tag ([row_hash] feeds int cells inline). *)
+let feed_cell h = function
+  | Value.Null -> feed_byte h 0
+  | Value.Bool b -> feed_byte (feed_byte h 1) (Bool.to_int b)
+  | Value.Int i -> feed_int64 (feed_byte h 2) (Int64.of_int i)
+  | Value.Float f -> feed_int64 (feed_byte h 3) (Int64.bits_of_float f)
+  | Value.Str s -> feed_string (feed_byte h 4) s
+
+let fnv_offset = 0xcbf29ce484222325L
+let c_rows_hashed = Obs.Counter.make "relation.rows_hashed"
+let c_resolve_rows = Obs.Counter.make "relation.resolve_rows"
+
+(* An int cell, the common case, is fed inline (its 8 bytes as
+   [Int64.of_int] gives them: [asr] keeps the sign in the top byte), so
+   the hash state stays unboxed through the row. *)
+let row_hash row =
+  let h = ref fnv_offset in
+  for c = 0 to Array.length row - 1 do
+    match row.(c) with
+    | Value.Int i ->
+        h := feed_byte !h 2;
+        for shift = 0 to 7 do
+          h := feed_byte !h (i asr (shift * 8))
+        done
+    | (Value.Null | Value.Bool _ | Value.Float _ | Value.Str _) as v ->
+        h := feed_cell !h v
+  done;
+  reduce (Int64.to_int !h land max_int)
+
+(* One more row at the end of a polynomial. *)
+let push poly row = addmod (times_base poly) (row_hash row)
+
+type digest = { head : int64; n : int; poly : int }
+
+let digest t =
+  let head =
+    List.fold_left
+      (fun h (c : Schema.column) ->
+        feed_string (feed_string h c.name) (Value.ty_name c.ty))
+      (feed_string fnv_offset t.name)
+      (Schema.columns t.schema)
+  in
+  Obs.Counter.add c_rows_hashed (cardinality t);
+  { head; n = cardinality t; poly = fold push 0 t }
+
+let digest_hex d =
+  Printf.sprintf "%016Lx"
+    (feed_int64 (feed_int64 d.head (Int64.of_int d.n)) (Int64.of_int d.poly))
+
+let fingerprint t = digest_hex (digest t)
+
+(* ---- churn ---- *)
+
 (* Churn: apply one Delta batch, yielding the relation with the removed
    rows gone (surviving rows keep their relative order) and the added
-   rows appended after them. *)
-type change = { after : t; removed : int array; delta : Delta.t }
+   rows appended after them.  [scan] is what the resolution scan saw:
+   the [read] leading rows, as one polynomial over all of them ([pre])
+   and one over those that survive ([post]). *)
+type scan = { read : int; pre : int; post : int }
+type change = { after : t; removed : int array; delta : Delta.t; scan : scan }
 
 exception Claimed_all
 
@@ -131,17 +265,20 @@ exception Claimed_all
    one streaming scan that stops at the last claim, so a paged backend
    pays at most one pass, not |removes| random probes.  Scan order is
    row order: the claimed indexes come out ascending, beside the rows
-   they hold. *)
+   they hold.  Every row read is hashed into the scan's polynomials. *)
 let resolve_removes t (d : Delta.t) =
   let pending = Array.map Option.some d.Delta.removes in
   let removed = Jqi_util.Vec.create () and claimed = Jqi_util.Vec.create () in
+  let read = ref 0 and pre = ref 0 and post = ref 0 in
   let claim i row =
+    incr read;
+    pre := push !pre row;
     match
       Array.find_index
         (function Some tup -> Tuple.equal tup row | None -> false)
         pending
     with
-    | None -> ()
+    | None -> post := push !post row
     | Some k ->
         pending.(k) <- None;
         Jqi_util.Vec.push removed i;
@@ -151,16 +288,20 @@ let resolve_removes t (d : Delta.t) =
   in
   (if Array.length pending > 0 then
      match iteri claim t with () | (exception Claimed_all) -> ());
+  Obs.Counter.add c_resolve_rows !read;
+  Obs.Counter.add c_rows_hashed !read;
   let missing = Array.length pending - Jqi_util.Vec.length removed in
   if missing > 0 then
     invalid_arg
       (Printf.sprintf "Delta: %d delete row(s) not present in relation %s"
          missing t.name);
-  (Jqi_util.Vec.to_array removed, Jqi_util.Vec.to_array claimed)
+  ( Jqi_util.Vec.to_array removed,
+    Jqi_util.Vec.to_array claimed,
+    { read = !read; pre = !pre; post = !post } )
 
 let apply_delta t (d : Delta.t) =
   Delta.check_arity (Schema.arity t.schema) d;
-  let removed, claimed = resolve_removes t d in
+  let removed, claimed, scan = resolve_removes t d in
   let backend =
     match t.backend with
     | Backend.Paged p ->
@@ -178,51 +319,28 @@ let apply_delta t (d : Delta.t) =
         Array.blit d.Delta.adds 0 rows survivors (Array.length d.Delta.adds);
         Backend.Mem rows
   in
-  { after = { t with backend }; removed; delta = { d with removes = claimed } }
+  {
+    after = { t with backend };
+    removed;
+    delta = { d with removes = claimed };
+    scan;
+  }
 
-(* Content fingerprint: FNV-1a 64-bit over a canonical serialization of
-   name, schema and every cell, in row-major order.  Cells are fed with a
-   type tag (and floats by their IEEE bits), so values that merely render
-   alike — Null vs Str "", Int 1 vs Str "1", 1.0 vs 2.0-1.0 rounding —
-   cannot collide structurally.  Two relations with equal fingerprints can
-   be treated as the same instance for caching purposes: equal name,
-   schema, row order and cell values.  Computed over the streaming scan,
-   so a paged relation fingerprints straight off its heap file and
-   matches the in-memory backend byte for byte. *)
-let fingerprint t =
-  let feed_byte h b =
-    Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) 0x100000001b3L
-  in
-  let feed_string h s =
-    (* Length prefix keeps "ab"+"c" distinct from "a"+"bc". *)
-    let h = feed_byte h (String.length s) in
-    let h = feed_byte h (String.length s lsr 8) in
-    String.fold_left (fun h c -> feed_byte h (Char.code c)) h s
-  in
-  let feed_int64 h x =
-    let h = ref h in
-    for shift = 0 to 7 do
-      h := feed_byte !h (Int64.to_int (Int64.shift_right_logical x (shift * 8)))
-    done;
-    !h
-  in
-  let feed_value h v =
-    match v with
-    | Value.Null -> feed_byte h 0
-    | Value.Bool b -> feed_byte (feed_byte h 1) (Bool.to_int b)
-    | Value.Int i -> feed_int64 (feed_byte h 2) (Int64.of_int i)
-    | Value.Float f -> feed_int64 (feed_byte h 3) (Int64.bits_of_float f)
-    | Value.Str s -> feed_string (feed_byte h 4) s
-  in
-  let feed_row h row = Array.fold_left feed_value h row in
-  let header =
-    List.fold_left
-      (fun h (c : Schema.column) ->
-        feed_string (feed_string h c.name) (Value.ty_name c.ty))
-      (feed_string 0xcbf29ce484222325L t.name)
-      (Schema.columns t.schema)
-  in
-  Printf.sprintf "%016Lx" (fold feed_row header t)
+(* The s rows past the scanned prefix are untouched and stay last, so
+   the pre-delta polynomial is pre·B^s + suffix and the post-delta one
+   is post·B^s + suffix with the adds pushed after it. *)
+let digest_after d (c : change) =
+  let n = d.n - Array.length c.removed + Array.length c.delta.adds in
+  if not (Int.equal n (cardinality c.after)) then
+    invalid_arg "Relation.digest_after: change from another relation version";
+  let bs = powmod fp_base (d.n - c.scan.read) in
+  let suffix = submod d.poly (mulmod c.scan.pre bs) in
+  Obs.Counter.add c_rows_hashed (Array.length c.delta.adds);
+  {
+    d with
+    n;
+    poly = Array.fold_left push (addmod (mulmod c.scan.post bs) suffix) c.delta.adds;
+  }
 
 (* Console convenience for the interactive CLI; rendering itself lives in
    Ascii_table, this is the one sanctioned stdout write of the module. *)

@@ -93,33 +93,57 @@ val tuple_set : t -> Tuple_set.t
     insensitive). *)
 val equal_contents : t -> t -> bool
 
+(** What a delta's resolution scan saw: the [read] leading rows of the
+    pre-delta relation, hashed as one fingerprint polynomial over all of
+    them and one over those that survive.  {!digest_after} reads it. *)
+type scan
+
 (** One applied churn batch: the post-delta relation [after], the
-    pre-delta row indexes the removes claimed, ascending, and the delta
+    pre-delta row indexes the removes claimed, ascending, the delta
     with its removes replaced by the claimed rows in that order
-    ([delta.removes.(j)] was row [removed.(j)]).  [Universe.apply_delta]
-    patches universes with it without touching the relation again. *)
-type change = { after : t; removed : int array; delta : Delta.t }
+    ([delta.removes.(j)] was row [removed.(j)]), and what the resolution
+    scan read.  [Universe.apply_delta] patches universes with it, and
+    {!digest_after} updates a fingerprint with it, without touching
+    the relation again. *)
+type change = { after : t; removed : int array; delta : Delta.t; scan : scan }
 
 (** Apply one churn batch: the removed rows disappear (survivors keep
     their relative order) and the added rows are appended after them.
     Each remove claims the earliest still-unclaimed [Tuple.equal] row,
-    in one streaming scan that stops once every remove has a row.
-    The whole delta is validated before the backend is written, which
-    happens once.  On [Mem] this builds a fresh backing array, leaving
-    the input value untouched.  On [Paged] the store is mutated
-    {e in place} (earlier views over the same store are invalidated).
-    Raises [Invalid_argument] on an arity-mismatched row or an
-    unmatched remove. *)
+    in one streaming scan that stops once every remove has a row (an
+    insert-only delta reads no rows).  The whole delta is validated
+    before the backend is written, which happens once.  On [Mem] this
+    builds a fresh backing array, leaving the input value untouched.
+    On [Paged] the store is mutated {e in place} (earlier views over
+    the same store are invalidated).  Raises [Invalid_argument] on an
+    arity-mismatched row or an unmatched remove. *)
 val apply_delta : t -> Delta.t -> change
 
-(** Content fingerprint (FNV-1a 64-bit, rendered as 16 hex digits) over
-    name, schema and all cells in row-major order.  Cells are hashed with
-    type tags, so renderings that coincide (NULL vs the empty string) do
-    not collide structurally.  Equal fingerprints identify relations for
-    cache keying — e.g. the server's universe cache.  Streams, so a paged
-    relation is fingerprinted from its heap-file scan and agrees with the
-    [Mem] fingerprint of the same contents. *)
+(** Content fingerprint over name, schema, row order and every cell,
+    rendered as 16 hex digits.  Each row is hashed with FNV-1a, cells
+    with type tags, so renderings that coincide (NULL vs the empty
+    string) do not collide structurally; the row hashes are combined in
+    order as a polynomial modulo the prime 2^61 - 1.  Equal fingerprints
+    identify relations for cache keying — e.g. the server's universe
+    cache.  Streams, so a paged relation is fingerprinted from its
+    heap-file scan and agrees with the [Mem] fingerprint of the same
+    contents.  [fingerprint t = digest_hex (digest t)]. *)
 val fingerprint : t -> string
+
+(** The state a fingerprint is rendered from, which a delta can update
+    without reading the relation. *)
+type digest
+
+(** One streaming pass over the relation. *)
+val digest : t -> digest
+
+val digest_hex : digest -> string
+
+(** [digest_after d c] is [digest c.after] when [d] is the digest of
+    the relation [c] was applied to, in O(|adds| + log n): the rows past
+    the resolution scan are not read.  Raises [Invalid_argument] when
+    the row counts show [c] came from another version. *)
+val digest_after : digest -> change -> digest
 
 val pp : Format.formatter -> t -> unit
 

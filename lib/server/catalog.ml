@@ -35,9 +35,13 @@ type ushard = {
   mutable misses : int [@lint.guarded_by "shards"];
 }
 
-(* Immutable: [fp] memoizes [Relation.fingerprint rel], so each
+(* A relation version's fingerprint: the digest a delta updates, and
+   its rendering, which keys the universe cache. *)
+type fp = { digest : Relation.digest; hex : string }
+
+(* Immutable: [fp] memoizes [Relation.digest rel] and its rendering, so each
    relation version is hashed at most once. *)
-type entry = { rel : Relation.t; fp : string option }
+type entry = { rel : Relation.t; fp : fp option }
 
 type t = {
   names_mutex : Mutex.t;
@@ -58,9 +62,32 @@ let shards t = Shard.size t.shards
 
 let with_names t f = Mutex.protect t.names_mutex f
 
+(* The store a paged relation writes on a delta; a Mem relation has
+   none, since its deltas build fresh arrays. *)
+let store_of rel =
+  match Relation.backend rel with
+  | Relation.Backend.Paged p -> Some p.Relation.Backend.describe
+  | Relation.Backend.Mem _ -> None
+
+(* A delta writes a paged store in place, which a second name over the
+   same store would not see, so the second name is refused. *)
 let add ?name t rel =
   let name = match name with Some n -> n | None -> Relation.name rel in
-  with_names t (fun () -> Hashtbl.replace t.relations name { rel; fp = None })
+  with_names t (fun () ->
+      Option.iter
+        (fun store ->
+          Hashtbl.iter
+            (fun other e ->
+              if
+                (not (String.equal other name))
+                && Option.equal String.equal (store_of e.rel) (Some store)
+              then
+                invalid_arg
+                  (Printf.sprintf "Catalog.add: %s is already registered as %s"
+                     store other))
+            t.relations)
+        (store_of rel);
+      Hashtbl.replace t.relations name { rel; fp = None })
 
 let find_entry t name =
   with_names t (fun () -> Hashtbl.find_opt t.relations name)
@@ -79,7 +106,8 @@ let fingerprint t name { rel; fp } =
   match fp with
   | Some fp -> fp
   | None ->
-      let fp = Relation.fingerprint rel in
+      let digest = Relation.digest rel in
+      let fp = { digest; hex = Relation.digest_hex digest } in
       with_names t (fun () ->
           match Hashtbl.find_opt t.relations name with
           | Some e when e.rel == rel ->
@@ -106,7 +134,8 @@ let universe t names =
   | Error name -> Error name
   | Ok entries ->
       let key =
-        String.concat ":" (List.map (fun (n, e) -> fingerprint t n e) entries)
+        String.concat ":"
+          (List.map (fun (n, e) -> (fingerprint t n e).hex) entries)
       in
       let rels = List.map (fun (_, e) -> e.rel) entries in
       Ok
@@ -157,7 +186,8 @@ let apply_delta t ~name (d : Delta.t) =
   match find_entry t name with
   | None -> None
   | Some ({ rel; _ } as entry) ->
-      let old_fp = fingerprint t name entry in
+      let old = fingerprint t name entry in
+      let old_fp = old.hex in
       (* The one resolution and the one write; a bad delta raises here,
          before any cache entry is touched. *)
       let change = Relation.apply_delta rel d in
@@ -192,7 +222,8 @@ let apply_delta t ~name (d : Delta.t) =
           matches
       in
       let new_rel = change.after in
-      let new_fp = Relation.fingerprint new_rel in
+      let digest = Relation.digest_after old.digest change in
+      let new_fp = Relation.digest_hex digest in
       List.iter
         (fun (key, u') ->
           let key' = rekey ~old_fp ~new_fp key in
@@ -200,7 +231,8 @@ let apply_delta t ~name (d : Delta.t) =
               Hashtbl.replace shard.universes key' u'))
         migrated;
       with_names t (fun () ->
-          Hashtbl.replace t.relations name { rel = new_rel; fp = Some new_fp });
+          Hashtbl.replace t.relations name
+            { rel = new_rel; fp = Some { digest; hex = new_fp } });
       Some
         { new_rel; old_fp; new_fp; patched = !patched; dropped = !dropped }
 

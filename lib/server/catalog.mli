@@ -27,7 +27,11 @@ val create : ?shards:int -> unit -> t
 val shards : t -> int
 
 (** Register a relation under [name] (default: its own
-    [Relation.name]).  Re-registering a name replaces the relation. *)
+    [Relation.name]).  Re-registering a name replaces the relation.
+    Raises [Invalid_argument] when [rel] is paged and its store (the
+    same [describe]) is already registered under another name: a delta
+    writes the store in place, and the other name would keep a stale
+    view of it. *)
 val add : ?name:string -> t -> Jqi_relational.Relation.t -> unit
 
 val find : t -> string -> Jqi_relational.Relation.t option
@@ -66,8 +70,9 @@ type churn = {
     fingerprint, so open sessions re-certify against an
     already-maintained Ω with no rebuild.  The pre-delta fingerprint
     comes from the name's entry (hashed now if no lookup has yet); the
-    post-delta relation is hashed once and registered with its
-    fingerprint, so the re-certification lookups that follow hash
+    post-delta one is derived from it with [Relation.digest_after],
+    which reads no rows beyond the resolution scan, and registered with
+    the relation, so the re-certification lookups that follow hash
     nothing.
 
     The delta is resolved and written once, by

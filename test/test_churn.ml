@@ -618,6 +618,171 @@ let qcheck_paged_scripts =
     (QCheck.make (gen_script_arity 1 2))
     run_script_paged
 
+(* The churned relation in any slot.  Each batch either picks its
+   removes at random or deletes the rows that some classes' reps hold in
+   the churned slot (a rep's row is the first of its value, so a remove
+   by value claims exactly it), which damages those classes and makes
+   the repair walk.  The fixed partners carry duplicate rows, so the
+   walk has several R_0 profiles to step over when R_0 is fixed. *)
+let run_slot_script ~k (slot, (init_r, batches)) =
+  let fixed =
+    [
+      relation_of "q" "c"
+        (List.map Tuple.ints [ [ 1; 2 ]; [ 2; 0 ]; [ 1; 2 ]; [ 3; 1 ]; [ 2; 0 ] ]);
+      relation_of "p" "b" (List.map Tuple.ints [ [ 1 ]; [ 2 ]; [ 1 ] ]);
+    ]
+  in
+  let rels_with r =
+    let others = List.filteri (fun i _ -> i < k - 1) fixed in
+    List.concat
+      [ List.filteri (fun i _ -> i < slot) others; [ r ];
+        List.filteri (fun i _ -> i >= slot) others ]
+  in
+  let build rows = Universe.build (rels_with (relation_of "r" "a" rows)) in
+  let rec go u rows = function
+    | [] -> true
+    | (hit_reps, (adds, picks)) :: rest ->
+        let d =
+          if hit_reps then
+            let n = Universe.n_classes u in
+            let hit =
+              List.sort_uniq Int.compare
+                (List.map
+                   (fun pick -> (Universe.cls u (pick mod n)).Universe.rep.(slot))
+                   picks)
+            in
+            let hit = List.filteri (fun i _ -> i < List.length rows - 1) hit in
+            Delta.of_lists ~adds ~removes:(List.map (List.nth rows) hit)
+          else delta_of_batch rows (adds, picks)
+        in
+        let u' = patch u [ (slot, d) ] in
+        let rows' = apply_ref rows d in
+        universes_agree (build rows') u' && go u' rows' rest
+  in
+  go (build init_r) init_r batches
+
+(* Churn on R_1 damages class {c1 = a0} alone: its rep (1, 1) loses
+   its R_1 row, and the class survives through R_1's second [0].  The
+   add [2] makes (0, 2) a member, below every surviving member's R_0
+   row, so the rep must come from the add side: a repair walk starts at
+   R_0 row 1 and would find (1, 1). *)
+let test_universe_add_side_rep () =
+  let q = relation_of "q" "c" (List.map Tuple.ints [ [ 1; 2 ]; [ 2; 0 ] ]) in
+  let rows_r = List.map Tuple.ints [ [ 5 ]; [ 0 ]; [ 0 ] ] in
+  let u = Universe.build [ q; relation_of "r" "a" rows_r ] in
+  let d = Delta.of_lists ~adds:[ Tuple.ints [ 2 ] ] ~removes:[ Tuple.ints [ 0 ] ] in
+  check_agree "add-side rep on R_1 = rebuild"
+    (Universe.build [ q; relation_of "r" "a" (apply_ref rows_r d) ])
+    (patch u [ (1, d) ])
+
+(* Both R_1 profiles lose their first rows, and their next rows come in
+   the other order, so R_1's cached table must re-sort them.  The
+   second delta mints the empty class, whose rep pairs the new R_0 row
+   with R_1's first untouched profile, read off that table. *)
+let test_universe_profiles_reorder () =
+  let q = relation_of "q" "c" [ Tuple.ints [ 1 ] ] in
+  let rows_r = List.map Tuple.ints [ [ 1; 1 ]; [ 2; 1 ]; [ 2; 1 ]; [ 1; 1 ] ] in
+  let u = Universe.build [ q; relation_of "r" "a" rows_r ] in
+  let d1 =
+    Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 1; 1 ]; Tuple.ints [ 2; 1 ] ]
+  in
+  let u1 = patch u [ (1, d1) ] in
+  let rows_r = apply_ref rows_r d1 in
+  check_agree "first rows lost in reverse order = rebuild"
+    (Universe.build [ q; relation_of "r" "a" rows_r ])
+    u1;
+  let d2 = Delta.of_lists ~adds:[ Tuple.ints [ 9 ] ] ~removes:[] in
+  check_agree "then a class minted against the re-sorted table = rebuild"
+    (Universe.build
+       [ relation_of "q" "c" (apply_ref [ Tuple.ints [ 1 ] ] d2);
+         relation_of "r" "a" rows_r ])
+    (patch u1 [ (0, d2) ])
+
+let gen_slot_script ~k =
+  QCheck.Gen.(
+    let* slot = int_bound (k - 1) in
+    let* arity = int_range 1 2 in
+    let row = map Tuple.of_list (list_repeat arity gen_cell) in
+    let batch =
+      let* hit_reps = bool in
+      let* adds = list_size (int_range 0 3) row in
+      let* picks = list_size (int_range 0 3) (int_bound 1000) in
+      return (hit_reps, (adds, picks))
+    in
+    let* init = list_size (int_range 1 6) row in
+    let* batches = list_size (int_range 1 5) batch in
+    return (slot, (init, batches)))
+
+let qcheck_binary_slot_scripts =
+  QCheck.Test.make
+    ~name:"apply_delta = rebuild, churned slot drawn, rep hits (binary)"
+    ~count:150
+    (QCheck.make (gen_slot_script ~k:2))
+    (run_slot_script ~k:2)
+
+let qcheck_kary_slot_scripts =
+  QCheck.Test.make
+    ~name:"apply_delta = rebuild, churned slot drawn, rep hits (k-ary)"
+    ~count:80
+    (QCheck.make (gen_slot_script ~k:3))
+    (run_slot_script ~k:3)
+
+(* The post-delta fingerprint derived from the pre-delta digest and the
+   resolution scan equals a fresh hash, whichever rows the removes
+   claim and however many rows the scan reads. *)
+let qcheck_digest_after =
+  QCheck.Test.make ~name:"digest_after = digest of the post-delta relation"
+    ~count:200
+    (QCheck.make (gen_script_arity 1 3))
+    (fun (init, batches) ->
+      let rec go rel rows = function
+        | [] -> true
+        | batch :: rest ->
+            let d = delta_of_batch rows batch in
+            let c = Relation.apply_delta rel d in
+            String.equal
+              (Relation.digest_hex
+                 (Relation.digest_after (Relation.digest rel) c))
+              (Relation.fingerprint c.Relation.after)
+            && go c.Relation.after (apply_ref rows d) rest
+      in
+      go (relation_of "r" "a" init) init batches)
+
+(* One paged store registered under two names would diverge on the
+   first delta through either, so the second name is refused; the
+   same name re-registers, and a Mem relation may go under any name. *)
+let test_catalog_refuses_second_name () =
+  let rows = List.map Tuple.ints [ [ 1; 2 ]; [ 3; 4 ] ] in
+  let store =
+    Relstore.of_relation ~page_size:512 ~pool_frames:4 ~dest:(tmp_path ".jqh")
+      (relation_of "r" "a" rows)
+  in
+  let catalog = Catalog.create () in
+  Catalog.add ~name:"a" catalog (Relstore.relation store);
+  Alcotest.(check bool) "a second name raises" true
+    (match Catalog.add ~name:"b" catalog (Relstore.relation store) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check (list string)) "only the first name" [ "a" ]
+    (Catalog.names catalog);
+  Catalog.add ~name:"a" catalog (Relstore.relation store);
+  let mem = relation_of "m" "a" rows in
+  Catalog.add ~name:"m1" catalog mem;
+  Catalog.add ~name:"m2" catalog mem;
+  Alcotest.(check (list string)) "same name and Mem names register"
+    [ "a"; "m1"; "m2" ] (Catalog.names catalog);
+  let churn =
+    Option.get
+      (Catalog.apply_delta catalog ~name:"a"
+         (Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 1; 2 ] ]))
+  in
+  Alcotest.(check int) "the registered view follows the store" 1
+    (Relation.cardinality (Option.get (Catalog.find catalog "a")));
+  Alcotest.(check string) "its fingerprint too"
+    (Relation.fingerprint churn.Catalog.new_rel)
+    churn.Catalog.new_fp;
+  Relstore.close store
+
 let suite =
   [
     Alcotest.test_case "delta basics" `Quick test_delta_basics;
@@ -651,6 +816,12 @@ let suite =
       test_universe_rejects_other_version;
     Alcotest.test_case "universe: chained changes on a self-join" `Quick
       test_universe_chained_self_join;
+    Alcotest.test_case "catalog refuses a paged store under a second name"
+      `Quick test_catalog_refuses_second_name;
+    Alcotest.test_case "universe: add-side rep beats the repair walk" `Quick
+      test_universe_add_side_rep;
+    Alcotest.test_case "universe: cached profiles re-sort" `Quick
+      test_universe_profiles_reorder;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -658,4 +829,7 @@ let suite =
         qcheck_kary_scripts;
         qcheck_paged_scripts;
         qcheck_chain_scripts;
+        qcheck_binary_slot_scripts;
+        qcheck_kary_slot_scripts;
+        qcheck_digest_after;
       ]
