@@ -422,6 +422,17 @@ let run_ablation ~full ~seed =
      specific goals while never beating its worst case)\n"
     !n_runs
 
+(* Run [f] [runs] times: its last result and its fastest time. *)
+let time_best ?(runs = 3) f =
+  let best = ref infinity in
+  let result = ref None in
+  for _ = 1 to runs do
+    let x, dt = Jqi_util.Timer.time f in
+    if dt < !best then best := dt;
+    result := Some x
+  done;
+  (Option.get !result, !best)
+
 (* ------------------------------------------------------------------ *)
 (* Universe construction: naive scan vs profile quotient.              *)
 (* ------------------------------------------------------------------ *)
@@ -454,16 +465,9 @@ let run_universe ~full ~seed =
         in
         go 0)
   in
-  let time_best f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let x, dt = Jqi_util.Timer.time f in
-      if dt < !best then best := dt;
-      result := Some x
-    done;
-    (Option.get !result, !best)
-  in
+  (* A k = 2 quotient build takes a few ms, so its best of 3 swung by
+     about 40% between runs; the best of this many is steadier. *)
+  let quotient_runs = 21 in
   let duplicate_heavy (db : Tpch.db) =
     ( Algebra.project db.lineitem [ "l_returnflag"; "l_linestatus"; "l_shipmode" ],
       Algebra.project db.orders
@@ -480,7 +484,9 @@ let run_universe ~full ~seed =
       (fun (shape, instance, scale) ->
         let r, p = instance (Tpch.generate ~seed ~scale ()) in
         let naive_u, naive_s = time_best (fun () -> Universe.build_naive r p) in
-        let quot_u, quot_s = time_best (fun () -> Universe.build [ r; p ]) in
+        let quot_u, quot_s =
+          time_best ~runs:quotient_runs (fun () -> Universe.build [ r; p ])
+        in
         (* One instrumented quotient build for the profile/dict counters. *)
         let was_enabled = Obs.enabled () in
         Obs.reset ();
@@ -522,6 +528,7 @@ let run_universe ~full ~seed =
             ("classes", Json.int (Universe.n_classes quot_u));
             ("naive_s", Json.Num naive_s);
             ("quotient_s", Json.Num quot_s);
+            ("quotient_runs", Json.int quotient_runs);
             ("speedup_quotient", Json.Num speedup_quot);
             ("identical", Json.Bool identical);
           ])
@@ -579,16 +586,6 @@ let run_kary ~full ~seed =
   let rels = [| part; partsupp; supplier |] in
   let rel_list = [ part; partsupp; supplier ] in
   let eqs = [ ((0, 0), (1, 0)); ((1, 1), (2, 0)) ] in
-  let time_best ?(runs = 3) f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to runs do
-      let x, dt = Jqi_util.Timer.time f in
-      if dt < !best then best := dt;
-      result := Some x
-    done;
-    (Option.get !result, !best)
-  in
   (* (a) universe: profile-trie walk vs Cartesian reference, on
      duplicate-heavy projections where quotienting can pay (unique-key
      columns have one profile per row, so there the two builders do the

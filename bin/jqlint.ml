@@ -4,10 +4,10 @@
      jqlint [options] PATH...
 
    Parses every .ml/.mli under the given paths with the project compiler
-   (compiler-libs) and enforces the R1..R12 rule catalog of
+   (compiler-libs) and enforces the R1..R13 rule catalog of
    doc/LINTING.md: the per-file rules R1..R8 plus the interprocedural
    concurrency/effect rules R9..R12 (lock discipline, no blocking under
-   a lock, sans-IO purity, decoder totality).
+   a lock, sans-IO purity, decoder totality) and R13 (unused exports).
 
    Exit codes (documented in doc/LINTING.md):
      0  no findings beyond the baseline
@@ -16,7 +16,7 @@
         git failure in --changed mode)
 
    Run it from the repository root so paths match the checked-in
-   baseline: jqlint --baseline lint.baseline lib bin bench test *)
+   baseline: jqlint --baseline lint.baseline lib bin bench test wirebench *)
 
 module Lint = Jqi_lint.Driver
 module Baseline = Jqi_lint.Baseline

@@ -14,8 +14,5 @@ type t = {
   recommendation : string;
 }
 
-(** Signatures wider than this skip the exponential lattice count. *)
-val max_lattice_signature : int
-
 val analyze : Universe.t -> t
 val pp : Format.formatter -> t -> unit

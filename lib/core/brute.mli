@@ -11,10 +11,8 @@ val consistent_predicates :
 (** C(S) of a live state (recovers positives from its history). *)
 val consistent_with_state : State.t -> Jqi_util.Bits.t list
 
-(** Cert± by definition: quantification over every θ ∈ C(S). *)
-val certain_pos_def : Jqi_util.Bits.t list -> Jqi_util.Bits.t -> bool
-
-val certain_neg_def : Jqi_util.Bits.t list -> Jqi_util.Bits.t -> bool
+(** Cert± by definition: the label every θ ∈ C(S) gives the signature,
+    if they all agree. *)
 val certain_label_def : Jqi_util.Bits.t list -> Jqi_util.Bits.t -> Sample.label option
 
 (** The original goal-dependent Uninf(S) definition: [Some α] when the

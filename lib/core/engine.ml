@@ -170,9 +170,6 @@ let recertify t new_universe =
 let finished (t : t) = t.pending = None
 let halted (t : t) = t.halted && t.pending = None
 let n_asked t = t.asked
-let universe (t : t) = t.universe
-let strategy (t : t) = t.strategy
-
 let result (t : t) =
   {
     predicate = State.inferred t.state;

@@ -111,9 +111,6 @@ val halted : t -> bool
     of a resumed state). *)
 val n_asked : t -> int
 
-val universe : t -> Universe.t
-val strategy : t -> Strategy.t
-
 (** Snapshot of what the engine knows; callable at any point of the
     session.  The returned state is an independent copy. *)
 val result : t -> outcome

@@ -473,8 +473,6 @@ let entropy_k state k cls =
   eval ev ~view:ev.ev_root ~vkey:(State.view_key ev.ev_root) ~k cls
 
 let entropy1 state cls = entropy_k state 1 cls
-let entropy2 state cls = entropy_k state 2 cls
-
 (* Upper bounds on the entropy² min of the root candidates, aligned with
    [p_ids] (k = 2 only).
 

@@ -40,9 +40,6 @@ val entropy1 : State.t -> int -> t
     (Algorithm 5). *)
 val entropy_k : State.t -> int -> int -> t
 
-(** [entropy2 st cls] = [entropy_k st 2 cls]. *)
-val entropy2 : State.t -> int -> t
-
 (** Reference engine: the direct transcription of Algorithm 5, re-deriving
     certainty from scratch per branch.  Kept as the differential test
     oracle for [entropy_k]/[score]; cost grows as (informative classes)^k

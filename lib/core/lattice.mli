@@ -10,10 +10,6 @@ val minimal_signatures : Jqi_util.Bits.t list -> Jqi_util.Bits.t list
     subset of some signature? *)
 val non_nullable : Jqi_util.Bits.t list -> Jqi_util.Bits.t -> bool
 
-(** All non-nullable predicates — ∪ PP(sig); exponential in the largest
-    signature. *)
-val non_nullable_predicates : Jqi_util.Bits.t list -> Jqi_util.Bits.t list
-
 val non_nullable_count : Jqi_util.Bits.t list -> int
 
 (** Hasse cover edges (lo, hi) between the given nodes. *)

@@ -97,7 +97,6 @@ val kindex : t -> int * int -> int * int -> int
 (** Inverse of [kindex]: bit → ((i,a),(j,b)) with i < j. *)
 val kpair : t -> int -> (int * int) * (int * int)
 
-val of_kpairs : t -> ((int * int) * (int * int)) list -> Jqi_util.Bits.t
 val to_kpairs : t -> Jqi_util.Bits.t -> ((int * int) * (int * int)) list
 
 (** Predicate from name pairs where each side is "rel.attr" or a bare

@@ -2,8 +2,9 @@
 
    The paper assumes a user who labels tuples consistently with a goal
    predicate θG; [honest] is that user.  [noisy] flips labels with a given
-   probability to exercise the inconsistency detection of Algorithm 1, and
-   [of_fun] supports a real human (the CLI reads the label from stdin). *)
+   probability to exercise the inconsistency detection of Algorithm 1.  A
+   real human answers through [Engine] instead (the CLI reads the label
+   from stdin). *)
 
 module Bits = Jqi_util.Bits
 module Prng = Jqi_util.Prng
@@ -12,8 +13,6 @@ type t = { name : string; label : Universe.t -> int -> Sample.label }
 
 let name t = t.name
 let label t universe cls = t.label universe cls
-
-let of_fun name label = { name; label }
 
 (* The honest user: t is positive iff θG ⊆ T(t). *)
 let honest ~goal =

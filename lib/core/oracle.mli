@@ -7,8 +7,6 @@ val name : t -> string
 (** Label the given class of the universe. *)
 val label : t -> Universe.t -> int -> Sample.label
 
-val of_fun : string -> (Universe.t -> int -> Sample.label) -> t
-
 (** The paper's user: labels t positive iff θG ⊆ T(t). *)
 val honest : goal:Jqi_util.Bits.t -> t
 

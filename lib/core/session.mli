@@ -23,9 +23,6 @@ exception
     label : Sample.label option;
   }
 
-(** The version this build writes (3).  Versions 1..[version] load. *)
-val version : int
-
 (** A thawed session: the replayed sample plus the v2+ metadata (absent
     for v1 files). *)
 type loaded = {
@@ -40,8 +37,9 @@ type loaded = {
           authoritative over [pending] for resuming *)
 }
 
-(** Requires a universe built from relations; raises [Corrupt] otherwise.
-    [strategy] and [pending] become the v2+ metadata fields. *)
+(** Writes format version 3; versions 1 to 3 load.  Requires a universe
+    built from relations; raises [Corrupt] otherwise.  [strategy] and
+    [pending] become the v2+ metadata fields. *)
 val to_json :
   ?strategy:string -> ?pending:int array -> Universe.t -> State.t ->
   Jqi_util.Json.t

@@ -30,10 +30,6 @@ val history : t -> (int * Sample.label) list
 val n_interactions : t -> int
 val label_of : t -> int -> Sample.label option
 
-(** Lemma 3.3: Cert+ membership for a signature under a hypothetical
-    sample. *)
-val certain_pos_sig : tpos:Jqi_util.Bits.t -> Jqi_util.Bits.t -> bool
-
 (** Lemma 3.4: Cert− membership. *)
 val certain_neg_sig :
   tpos:Jqi_util.Bits.t -> negs:Jqi_util.Bits.t list -> Jqi_util.Bits.t -> bool
@@ -55,11 +51,6 @@ val has_positive : t -> bool
 (** Record a user label.  Raises [Inconsistent] when it contradicts a
     certain label. *)
 val label : t -> int -> Sample.label -> unit
-
-(** Tuple-weighted count of certain (= uninformative, Lemma 3.2) tuples
-    under a hypothetical (T(S+), negatives). *)
-val uninf_tuples_with :
-  Universe.t -> tpos:Jqi_util.Bits.t -> negs:Jqi_util.Bits.t list -> int
 
 val uninf_tuples : t -> int
 

@@ -176,9 +176,6 @@ let hybrid =
   make "TD+L2S" (fun state ->
       if State.has_positive state then l2s.choose state else td.choose state)
 
-let all ?(prng_seed = 42) () =
-  [ rnd (Prng.create prng_seed); bu; td; l1s; l2s ]
-
 (* Strategy lookup by the spelling the CLI and the protocol share. *)
 let of_name ?(seed = 42) name =
   match String.lowercase_ascii (String.trim name) with

@@ -44,9 +44,6 @@ val igs : ?samples:int -> Jqi_util.Prng.t -> t
     cost. *)
 val hybrid : t
 
-(** The paper's five strategies: RND, BU, TD, L1S, L2S. *)
-val all : ?prng_seed:int -> unit -> t list
-
 (** Strategy from its CLI/protocol spelling (case-insensitive): bu, td,
     l1s, l2s, hybrid, rnd, igs.  [seed] feeds the PRNG of the randomized
     strategies.  [None] on unknown names. *)

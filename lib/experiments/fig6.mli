@@ -12,13 +12,6 @@ type join_result = {
 
 type setting = { name : string; scale : int; seed : int }
 
-(** [builder] selects the universe constructor (default
-    [Jqi_core.Universe.build]). *)
-val run_join :
-  ?builder:
-    (Jqi_relational.Relation.t list -> Jqi_core.Universe.t) ->
-  seed:int -> Jqi_tpch.Tpch.goal_join -> join_result
-
 val run :
   ?builder:
     (Jqi_relational.Relation.t list -> Jqi_core.Universe.t) ->

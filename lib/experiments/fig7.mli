@@ -14,8 +14,6 @@ type config_result = {
   by_size : size_result list;
 }
 
-val max_goal_size : int
-
 (** [runs] fresh instances; [goals_per_size] caps the distinct goals
     sampled per size and instance (omit for all of them — the paper's
     setting); [builder] selects the universe constructor (default

@@ -11,8 +11,8 @@
 
    Critical sections have three spellings here, all primitive to the
    analysis: [Mutex.lock]/[unlock] pairs (tracked linearly),
-   [Mutex.protect m f], and the [Shard.with_key]/[with_slot]/[fold]/
-   [mapi] family.  Shard entry points are primitive *by head module* so
+   [Mutex.protect m f], and the [Shard.with_key]/[fold]/[mapi] family.
+   Shard entry points are primitive *by head module* so
    the lock token is derived from the shard table at the call site
    ("catalog.ml:shards" vs "manager.ml:shards") rather than collapsing
    through shard.ml's single internal mutex array.
@@ -112,9 +112,6 @@ type t = {
   rounds : int;
 }
 
-let summary t (def : T.def) =
-  Hashtbl.find_opt t.summaries (T.key def.d_unit def.d_name)
-
 (* ------------------------------------------------------------------ *)
 (* Classifiers                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -189,13 +186,13 @@ let partial_raises parts =
   | _ -> None
 
 let shard_fn_arg = function
-  | "with_key" | "with_slot" -> Some 2
+  | "with_key" -> Some 2
   | "mapi" -> Some 1
   | "fold" -> None  (* labelled ~f *)
   | _ -> None
 
 let is_shard_primitive f =
-  mem f [ "with_key"; "with_slot"; "fold"; "mapi" ]
+  mem f [ "with_key"; "fold"; "mapi" ]
 
 (* Spawn primitives whose function argument runs on another thread:
    (head module, function, positional index of the closure). *)

@@ -13,9 +13,6 @@ module Tok : sig
 
   type t = { unit_path : string; name : string; kind : kind }
 
-  (** Ordered by (unit, name); [kind] is display-only. *)
-  val compare : t -> t -> int
-
   val pp : t -> string
 end
 
@@ -71,5 +68,4 @@ type t = {
   rounds : int;
 }
 
-val summary : t -> Typed_source.def -> summary option
 val build : Typed_source.program -> t

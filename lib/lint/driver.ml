@@ -1,8 +1,8 @@
 (* The lint pipeline: discover -> parse -> rules -> suppress -> baseline.
 
    The driver is pure plumbing; policy lives in Rules (what is flagged),
-   Concurrency (the interprocedural R9..R12), Suppress (what the code
-   itself waives) and Baseline (what history tolerates).
+   Concurrency (the interprocedural R9..R12), Exports (R13), Suppress
+   (what the code itself waives) and Baseline (what history tolerates).
 
    Two stages:
    - the per-file stage parses sequentially (compiler-libs' lexer keeps
@@ -11,7 +11,7 @@
      is deterministic regardless of scheduling;
    - the program stage builds the Typed_source/Callgraph/Effects view of
      the whole tree sequentially (it is a fixpoint over shared tables)
-     and runs R9..R12, then applies each file's suppression scopes to
+     and runs R9..R13, then applies each file's suppression scopes to
      the findings that landed in it. *)
 
 type options = {
@@ -31,10 +31,10 @@ type outcome = {
   stale : Baseline.entry list;
   parse_errors : int;
   wall_ms : float;
-  analysis : analysis option;  (* present when R9..R12 ran *)
+  analysis : analysis option;  (* present when R9..R13 ran *)
 }
 
-let program_rules = [ "R9"; "R10"; "R11"; "R12" ]
+let program_rules = [ "R9"; "R10"; "R11"; "R12"; "R13" ]
 
 let selected opts (rule : string) =
   String.equal rule "P0"
@@ -106,14 +106,14 @@ let process opts (path, parse_result) =
       { p_path = path; p_file = Some f; p_scopes = scopes; p_findings = findings }
   | Error p0 -> { p_path = path; p_file = None; p_scopes = []; p_findings = [ p0 ] }
 
-(* R9..R12 over already-parsed files; suppression scopes are applied
+(* R9..R13 over already-parsed files; suppression scopes are applied
    per file to the findings that landed in it. *)
 let program_stage parsed =
   let files = List.filter_map (fun p -> p.p_file) parsed in
   let prog = Typed_source.load files in
   let cg = Callgraph.build prog in
   let eff = Effects.build cg ~sanctioned:Concurrency.sanctioned in
-  let raw = Concurrency.check prog cg eff in
+  let raw = Concurrency.check prog cg eff @ Exports.check prog files in
   let scopes_of =
     let tbl = Hashtbl.create 64 in
     List.iter (fun p -> Hashtbl.replace tbl p.p_path p.p_scopes) parsed;
@@ -184,7 +184,7 @@ let lint_paths ?(opts = default_options) paths =
   let all = Source.discover paths in
   (* In changed mode the per-file stage covers only the changed files;
      the whole tree is still parsed when an interprocedural rule is
-     selected, because R9..R12 need the full call graph either way. *)
+     selected, because R9..R13 need the whole program either way. *)
   let per_file_targets = List.filter (in_changed opts) all in
   let rest = List.filter (fun p -> not (in_changed opts p)) all in
   let parsed_targets =

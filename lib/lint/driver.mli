@@ -2,7 +2,7 @@
 
     Parsing is sequential (compiler-libs' lexer keeps global buffers);
     the per-file rule walks (R1..R8) fan out across [jobs] domains with
-    a deterministic report order; the interprocedural stage (R9..R12)
+    a deterministic report order; the interprocedural stage (R9..R13)
     builds the whole-program view once and runs sequentially. *)
 
 type options = {
@@ -24,11 +24,11 @@ type outcome = {
   stale : Baseline.entry list;  (** empty in changed mode *)
   parse_errors : int;
   wall_ms : float;
-  analysis : analysis option;  (** present when R9..R12 ran *)
+  analysis : analysis option;  (** present when R9..R13 ran *)
 }
 
 (** Lint in-memory sources as one little program: per-file rules plus
-    R9..R12 over the set, suppression applied, no R6/baseline. *)
+    R9..R13 over the set, suppression applied, no R6/baseline. *)
 val lint_sources :
   ?opts:options -> (string * string) list -> Finding.t list
 

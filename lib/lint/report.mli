@@ -1,8 +1,5 @@
 (** Rendering.  All functions return strings; the CLI owns stdout. *)
 
-(** Per-rule counts, sorted by rule id. *)
-val count_by_rule : Finding.t list -> (string * int) list
-
 (** One line per fresh finding with its hint, stale-baseline notes, and a
     summary line. *)
 val human :

@@ -105,6 +105,14 @@ let catalog =
         "decoders are total: return Error frames for garbage input; add a \
          handler or use the _opt variant on the raising path";
     };
+    {
+      id = "R13";
+      title = "export with no caller outside its module";
+      hint =
+        "delete it, or drop it from the .mli if only its own module uses \
+         it; an oracle kept for tests takes [@lint.allow \"R13\"] with a \
+         reason";
+    };
   ]
 
 let find_rule id = List.find_opt (fun r -> String.equal r.id id) catalog

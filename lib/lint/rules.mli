@@ -1,4 +1,5 @@
-(** The rule catalog (R1..R8) and its parsetree checks. *)
+(** The rule catalog (R1..R13) and the per-file parsetree checks
+    (R1..R8). *)
 
 type rule = { id : string; title : string; hint : string }
 

@@ -1,4 +1,4 @@
-(* Whole-program view for the interprocedural pass (R9..R12).
+(* Whole-program view for the interprocedural pass (R9..R13).
 
    jqlint runs from a bare source checkout — `dune build @lint` sandboxes
    only the .ml/.mli files, no cmt/cmi artifacts — so instead of driving
@@ -322,48 +322,41 @@ let collect_unit ~unit_path (str : structure) =
 (* The mli surface                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let sig_surface (s : signature) =
-  let vals = ref [] in
-  let mods = ref [] in
-  List.iter
-    (fun (si : signature_item) ->
+(* The dotted names of the values a signature spells out ("find",
+   "Framing.feed"), and the modules it does not spell out (a named or
+   [with]-constrained module type), every member of which is public. *)
+let rec sig_surface ~prefix (s : signature) =
+  List.fold_left
+    (fun (vals, opaque) (si : signature_item) ->
       match si.psig_desc with
-      | Psig_value vd -> vals := vd.pval_name.txt :: !vals
-      | Psig_module md -> (
-          match md.pmd_name.txt with
-          | Some n -> mods := n :: !mods
-          | None -> ())
-      | _ -> ())
-    s;
-  (!vals, !mods)
+      | Psig_value vd -> ((prefix ^ vd.pval_name.txt) :: vals, opaque)
+      | Psig_module { pmd_name = { txt = Some n; _ }; pmd_type; _ } -> (
+          match pmd_type.pmty_desc with
+          | Pmty_signature inner ->
+              let v, o = sig_surface ~prefix:(prefix ^ n ^ ".") inner in
+              (List.rev_append v vals, List.rev_append o opaque)
+          | _ -> (vals, (prefix ^ n) :: opaque))
+      | _ -> (vals, opaque))
+    ([], []) s
 
 let refine_public ~mli def =
-  match mli with
-  | None -> def  (* no interface: every toplevel value is reachable *)
-  | Some (vals, mods) -> (
-      match def.d_kind with
-      | Nested -> { def with d_public = false }
-      | Toplevel ->
-          { def with d_public = List.exists (String.equal def.d_name) vals }
-      | In_module ->
-          let head =
-            match String.index_opt def.d_name '.' with
-            | Some i -> String.sub def.d_name 0 i
-            | None -> def.d_name
-          in
-          { def with d_public = List.exists (String.equal head) mods })
+  match (mli, def.d_kind) with
+  | None, _ -> def  (* no interface: every toplevel value is reachable *)
+  | Some _, Nested -> { def with d_public = false }
+  | Some (vals, opaque), (Toplevel | In_module) ->
+      let name = def.d_name in
+      {
+        def with
+        d_public =
+          List.exists (String.equal name) vals
+          || List.exists
+               (fun m -> String.starts_with ~prefix:(m ^ ".") name)
+               opaque;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let normalize path =
-  let path =
-    if String.length path > 1 && path.[0] = '.' && path.[1] = '/' then
-      String.sub path 2 (String.length path - 2)
-    else path
-  in
-  String.map (fun c -> if c = '\\' then '/' else c) path
 
 let load (files : Source.file list) : program =
   let sigs = Hashtbl.create 16 in
@@ -371,7 +364,8 @@ let load (files : Source.file list) : program =
     (fun (f : Source.file) ->
       match f.ast with
       | Source.Signature s ->
-          Hashtbl.replace sigs (normalize f.path) (sig_surface s)
+          Hashtbl.replace sigs (Rules.normalize f.path)
+            (sig_surface ~prefix:"" s)
       | Source.Structure _ -> ())
     files;
   let units = Hashtbl.create 16 in
@@ -383,7 +377,7 @@ let load (files : Source.file list) : program =
       match f.ast with
       | Source.Signature _ -> ()
       | Source.Structure str ->
-          let unit_path = normalize f.path in
+          let unit_path = Rules.normalize f.path in
           let unit_defs, aliases, unit_guards, unit_unguarded =
             collect_unit ~unit_path str
           in

@@ -1,5 +1,5 @@
 (** Whole-program "typing lite" layer for the interprocedural rules
-    (R9..R12): per-unit function tables with nested functions lifted
+    (R9..R13): per-unit function tables with nested functions lifted
     under dotted names, [@lint.guarded_by] field-guard tables, the mli
     public surface, and deterministic name resolution from a use site to
     the defining unit — no cmt artifacts required. *)
@@ -56,7 +56,9 @@ val peel_params : Parsetree.expression -> param list * Parsetree.expression
 
 val binding_name : Parsetree.value_binding -> string option
 val is_function : Parsetree.expression -> bool
-val normalize : string -> string
+
+(** The directory of the dune library a [Jqi_x] module names ("lib/x"). *)
+val lib_dir : string -> string option
 
 (** Build the program view from parsed files (both .ml and .mli). *)
 val load : Source.file list -> program

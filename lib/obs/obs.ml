@@ -103,7 +103,6 @@ module Histogram = struct
       h.buckets.(bucket_of v) <- b + 1
     end
 
-  let name h = h.name
   let count h = h.count
   let sum h = h.sum
   let mean h = if h.count = 0 then nan else h.sum /. float_of_int h.count

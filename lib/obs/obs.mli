@@ -61,7 +61,6 @@ module Histogram : sig
       count/sum/min/max plus a power-of-two bucket. *)
   val observe : t -> float -> unit
 
-  val name : t -> string
   val count : t -> int
   val sum : t -> float
   val mean : t -> float
@@ -74,20 +73,11 @@ end
 
 (** {1 Spans} *)
 
-type handle
-
 (** [span name f] runs [f ()] inside a span: nested calls build a tree,
     the monotonic start/stop times are recorded for the trace, and the
     span closes even when [f] raises.  While disabled this is exactly
     [f ()]. *)
 val span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-(** Manual bracket for code that cannot take a closure.  [exit] tolerates
-    missed inner exits (it pops to the matching frame) and ignores handles
-    that are no longer on the stack. *)
-val enter : ?attrs:(string * string) list -> string -> handle
-
-val exit : handle -> unit
 
 (** Monotonic (non-decreasing) clock in seconds since an arbitrary
     process-local epoch — what spans are timed with. *)

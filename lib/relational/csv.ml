@@ -135,9 +135,6 @@ let fold_file_records ~sep path f acc =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> fold_channel_records ~sep ic f acc)
 
-let read_file ?(sep = ',') path =
-  List.rev (fold_file_records ~sep path (fun acc r -> r :: acc) [])
-
 let write_file ?sep path records =
   let oc = open_out_bin path in
   Fun.protect

@@ -7,8 +7,6 @@
 val parse_string : ?sep:char -> string -> string list list
 
 val to_string : ?sep:char -> string list list -> string
-val read_file : ?sep:char -> string -> string list list
-val write_file : ?sep:char -> string -> string list list -> unit
 
 (** First record is the header.  Without [schema], column types are
     inferred from the data ([Value.infer_ty]).  Raises [Invalid_argument]

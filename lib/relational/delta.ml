@@ -13,7 +13,6 @@
 type t = { adds : Tuple.t array; removes : Tuple.t array }
 
 let empty = { adds = [||]; removes = [||] }
-let v ~adds ~removes = { adds; removes }
 
 let of_lists ~adds ~removes =
   { adds = Array.of_list adds; removes = Array.of_list removes }

@@ -11,7 +11,6 @@
 type t = { adds : Tuple.t array; removes : Tuple.t array }
 
 val empty : t
-val v : adds:Tuple.t array -> removes:Tuple.t array -> t
 val of_lists : adds:Tuple.t list -> removes:Tuple.t list -> t
 val is_empty : t -> bool
 

@@ -114,13 +114,3 @@ let predicate_of_names r p pairs : predicate =
       ( Schema.index_of_exn (Relation.schema r) a,
         Schema.index_of_exn (Relation.schema p) b ))
     pairs
-
-let pp_predicate r p ppf (theta : predicate) =
-  let pp_pair ppf (i, j) =
-    Fmt.pf ppf "%s.%s=%s.%s" (Relation.name r)
-      (Schema.name_at (Relation.schema r) i)
-      (Relation.name p)
-      (Schema.name_at (Relation.schema p) j)
-  in
-  if theta = [] then Fmt.string ppf "∅"
-  else Fmt.pf ppf "%a" (Fmt.list ~sep:(Fmt.any " ∧ ") pp_pair) theta

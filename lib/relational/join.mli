@@ -6,9 +6,6 @@
 
 type predicate = (int * int) list
 
-(** Does the pair satisfy θ? *)
-val matches : predicate -> Tuple.t -> Tuple.t -> bool
-
 (** R ⋈_θ P by nested loops — the executable definition. *)
 val equijoin_nested : Relation.t -> Relation.t -> predicate -> Relation.t
 
@@ -26,6 +23,3 @@ val antijoin : Relation.t -> Relation.t -> predicate -> Relation.t
 (** Resolve a predicate given by column names; raises on unknown names. *)
 val predicate_of_names :
   Relation.t -> Relation.t -> (string * string) list -> predicate
-
-val pp_predicate :
-  Relation.t -> Relation.t -> Format.formatter -> predicate -> unit

@@ -9,19 +9,11 @@
     from.  Each order is a permutation of variable indexes,
     directly usable as [Leapfrog.join ~order]. *)
 
-(** The classic triejoin heuristic: ascending estimated cardinality
-    (fewest distinct joinable codes first), ties by discovery index. *)
-val by_cardinality : Leapfrog.var array -> int array
-
-(** Descending degree (variables touching the most column positions
-    first), ties by discovery index. *)
-val by_degree : Leapfrog.var array -> int array
-
 (** Candidate orders, deduplicated, the default pick first: ascending
     cardinality, then descending degree, then discovery (identity)
     order.  Always non-empty; a single candidate means the heuristics
     agree. *)
 val candidates : Leapfrog.var array -> int array list
 
-(** The default order: {!by_cardinality}. *)
+(** The default order: ascending cardinality. *)
 val default : Leapfrog.var array -> int array

@@ -26,7 +26,6 @@ let of_names ?(ty = Value.TString) names =
 
 let arity t = Array.length t.columns
 let columns t = Array.to_list t.columns
-let column_at t i = t.columns.(i)
 let name_at t i = t.columns.(i).name
 let ty_at t i = t.columns.(i).ty
 let names t = Array.to_list (Array.map (fun c -> c.name) t.columns)

@@ -13,7 +13,6 @@ val of_names : ?ty:Value.ty -> string list -> t
 
 val arity : t -> int
 val columns : t -> column list
-val column_at : t -> int -> column
 val name_at : t -> int -> string
 val ty_at : t -> int -> Value.ty
 val names : t -> string list

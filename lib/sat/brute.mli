@@ -1,7 +1,5 @@
 (** Exhaustive SAT checking — the test oracle for the DPLL solver.
-    Refuses more than [max_vars] variables. *)
-
-val max_vars : int
+    Refuses more than 22 variables. *)
 
 (** All satisfying assignments, in increasing bitmask order. *)
 val all_models : Cnf.t -> bool array list

@@ -24,9 +24,6 @@ let nvars t = t.nvars
 let clauses t = t.clauses
 let n_clauses t = List.length t.clauses
 
-let var_of_lit l = abs l
-let is_pos l = l > 0
-
 (* Remove duplicate literals; detect tautological clauses (x ∨ ¬x). *)
 let normalize_clause c =
   let lits = List.sort_uniq compare (Array.to_list c) in
@@ -45,14 +42,3 @@ let clause_satisfied assignment c = Array.exists (lit_true assignment) c
 let satisfied t assignment =
   Array.length assignment >= t.nvars + 1
   && List.for_all (clause_satisfied assignment) t.clauses
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>cnf: %d vars, %d clauses" t.nvars (n_clauses t);
-  List.iter
-    (fun c ->
-      Fmt.pf ppf "@,  (%a)"
-        (Fmt.array ~sep:(Fmt.any " ∨ ") (fun ppf l ->
-             if l > 0 then Fmt.pf ppf "x%d" l else Fmt.pf ppf "¬x%d" (-l)))
-        c)
-    t.clauses;
-  Fmt.pf ppf "@]"

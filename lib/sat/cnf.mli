@@ -10,15 +10,8 @@ val create : nvars:int -> clause list -> t
 val nvars : t -> int
 val clauses : t -> clause list
 val n_clauses : t -> int
-val var_of_lit : int -> int
-val is_pos : int -> bool
 
 (** Deduplicate literals; drop tautological clauses (x ∨ ¬x). *)
 val simplify : t -> t
 
-(** [lit_true a l] under total assignment [a] (index 0 unused). *)
-val lit_true : bool array -> int -> bool
-
-val clause_satisfied : bool array -> clause -> bool
 val satisfied : t -> bool array -> bool
-val pp : Format.formatter -> t -> unit

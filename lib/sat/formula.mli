@@ -15,7 +15,6 @@ val neg : t -> t
 val conj : t list -> t
 val disj : t list -> t
 val eval : bool array -> t -> bool
-val max_var : t -> int
 
 (** Equisatisfiable CNF with one auxiliary variable per internal node;
     models restricted to the original variables are models of the input.

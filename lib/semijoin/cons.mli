@@ -2,12 +2,6 @@
     NP-complete (Theorem 6.1); decided by SAT encoding, with a brute-force
     cross-check for small Ω. *)
 
-(** The SAT encoding: one variable per pair of Ω, a witness disjunction
-    per positive example, a rejection clause per (negative, P-row). *)
-val encode :
-  Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Omega.t ->
-  Semijoin.sample -> Jqi_sat.Formula.t
-
 (** Decide CONS⋉; returns a semantically verified witness predicate when
     consistent. *)
 val solve :
@@ -17,13 +11,6 @@ val solve :
 val consistent :
   Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Omega.t ->
   Semijoin.sample -> bool
-
-val max_brute_width : int
-
-(** Enumerate PP(Ω); raises [Invalid_argument] past [max_brute_width]. *)
-val solve_brute :
-  Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Omega.t ->
-  Semijoin.sample -> Jqi_util.Bits.t option
 
 val consistent_brute :
   Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Omega.t ->

@@ -1,24 +1,11 @@
 (** Minimality of semijoin predicates under positive-only samples — the
     paper's §7 coNP-complete "early attempt".  Minimality is of the
     selected set: no predicate covering the positives selects a strictly
-    smaller subset of R.  Decided by enumeration (guarded by [max_width]),
+    smaller subset of R.  Decided by enumeration (up to 20 attribute pairs),
     which also answers the paper's open uniqueness question per
     instance. *)
 
 module Int_set : Set.S with type elt = int
-
-val max_width : int
-
-(** Rows of R selected by θ. *)
-val selected_set :
-  Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Omega.t ->
-  Jqi_util.Bits.t -> Int_set.t
-
-(** All predicates selecting every positive row, with their selected
-    sets.  Raises [Invalid_argument] past [max_width]. *)
-val consistent_with_positives :
-  Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Omega.t ->
-  pos:int list -> (Jqi_util.Bits.t * Int_set.t) list
 
 val is_minimal :
   Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> Jqi_core.Omega.t ->

@@ -58,8 +58,6 @@ let create ?shards () =
           { universes = Hashtbl.create 4; hits = 0; misses = 0 });
   }
 
-let shards t = Shard.size t.shards
-
 let with_names t f = Mutex.protect t.names_mutex f
 
 (* The store a paged relation writes on a delta; a Mem relation has

@@ -20,11 +20,8 @@
 
 type t
 
-(** [shards] defaults to {!Shard.default_shards}. *)
+(** [shards] defaults to 16. *)
 val create : ?shards:int -> unit -> t
-
-(** Number of universe-cache shards. *)
-val shards : t -> int
 
 (** Register a relation under [name] (default: its own
     [Relation.name]).  Re-registering a name replaces the relation.

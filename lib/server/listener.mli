@@ -29,9 +29,7 @@ module Framing : sig
 
   type t
 
-  val default_max_frame : int
-  (** 1 MiB. *)
-
+  (** [max_frame] defaults to 1 MiB. *)
   val create : ?max_frame:int -> unit -> t
   val feed : t -> string -> unit
 

@@ -191,8 +191,6 @@ let create ?clock ?idle_timeout ?(seed = 42) ?shards ?loader catalog =
   }
 
 let catalog t = t.catalog
-let shards t = Shard.size t.shards
-
 (* Load a CSV through the injected backend and register it in the
    catalog under [name].  Exceptions ([Sys_error], [Invalid_argument])
    propagate for the transport layer to render. *)

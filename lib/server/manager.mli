@@ -80,7 +80,7 @@ type loader = name:string -> string -> Jqi_relational.Relation.t
 
 (** [clock] defaults to [Obs.now]; [idle_timeout] (seconds) enables
     {!sweep}; [seed] feeds randomized strategies; [shards] defaults to
-    {!Shard.default_shards}; [loader] services [Load] requests. *)
+    16; [loader] services [Load] requests. *)
 val create :
   ?clock:(unit -> float) -> ?idle_timeout:float -> ?seed:int ->
   ?shards:int -> ?loader:loader -> Catalog.t -> t
@@ -90,9 +90,6 @@ val catalog : t -> Catalog.t
 val load : t -> name:string -> string -> Jqi_relational.Relation.t
 (** Load a CSV via the manager's backend loader and add it to the
     catalog.  Raises [Sys_error] / [Invalid_argument] on bad input. *)
-
-(** Number of session shards. *)
-val shards : t -> int
 
 (** Open a fresh session over [relations] catalog names, in order, with
     a strategy named as in [Strategy.of_name].  Two names give the

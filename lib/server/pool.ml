@@ -87,8 +87,6 @@ let create ?(capacity = 256) ~workers () =
   t
 
 let workers t = List.length t.domains
-let capacity t = t.capacity
-
 (* Enqueue [job] if there is room.  Returns the accepted flag; counters
    and the depth histogram are updated inside the lock. *)
 let enqueue t job =

@@ -32,7 +32,6 @@ type stats = {
 val create : ?capacity:int -> workers:int -> unit -> t
 
 val workers : t -> int
-val capacity : t -> int
 
 (** Run [f] on a worker, blocking until its result; [Shed] when the
     queue is full (or the pool is shutting down). *)

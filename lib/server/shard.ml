@@ -27,8 +27,6 @@ let create ?(shards = default_shards) init =
     states = Array.init shards init;
   }
 
-let size t = Array.length t.states
-
 (* 32-bit FNV-1a, folded into a non-negative OCaml int. *)
 let fnv1a key =
   let h = ref 0x811c9dc5 in

@@ -12,22 +12,12 @@
 
 type 'a t
 
-val default_shards : int
-
-(** [create ?shards init] — [shards] defaults to {!default_shards} and
-    is clamped to at least 1. *)
+(** [create ?shards init] — [shards] defaults to 16 and is
+    clamped to at least 1. *)
 val create : ?shards:int -> (int -> 'a) -> 'a t
-
-val size : 'a t -> int
-
-(** The shard [key] hashes to: [fnv1a key mod size]. *)
-val index : 'a t -> string -> int
 
 (** Run [f] on [key]'s shard state while holding that shard's mutex. *)
 val with_key : 'a t -> string -> ('a -> 'b) -> 'b
-
-(** Run [f] on shard [i]'s state while holding its mutex. *)
-val with_slot : 'a t -> int -> ('a -> 'b) -> 'b
 
 (** Fold over every shard in index order, locking each one in turn
     (never two at once).  The result is a consistent per-shard snapshot,

@@ -54,27 +54,10 @@ type query = {
   limit : int option;
 }
 
-val equal_binop : binop -> binop -> bool
-
 val equal_expr : expr -> expr -> bool
 (** Structural equality on expressions; used by GROUP BY to match select
     items against grouping keys.  Float literals compare with
     [Float.equal], so a nan literal matches itself syntactically. *)
-
-val source : ?alias:string -> string -> source
-
-val simple_query :
-  ?distinct:bool ->
-  ?joins:(join_kind * source * cond option) list ->
-  ?where:cond ->
-  ?group_by:expr list ->
-  ?having:cond ->
-  ?order_by:(expr * order) list ->
-  ?limit:int ->
-  select:select_item list ->
-  from:source ->
-  unit ->
-  query
 
 val of_equijoin : r:string -> p:string -> (string * string) list -> query
 (** [SELECT * FROM r JOIN p ON pairs] — the query shape the paper infers.
@@ -87,21 +70,10 @@ val keywords : string list
 (** Reserved words of the grammar, lowercase.  Kept in sync with the
     lexer by the printer round-trip tests. *)
 
-val needs_quoting : string -> bool
-
 (** {1 Printing}
 
     Printed queries re-parse to the same AST; binops are always
     parenthesized so the cycle is a fixpoint. *)
 
-val pp_name : Format.formatter -> string -> unit
-val binop_symbol : binop -> string
 val pp_expr : Format.formatter -> expr -> unit
-val cmp_symbol : cmp -> string
-val pp_cond : Format.formatter -> cond -> unit
-val pp_source : Format.formatter -> source -> unit
-val join_keyword : join_kind -> string
-val agg_name : agg_fn -> string
-val pp_select_item : Format.formatter -> select_item -> unit
-val pp_query : Format.formatter -> query -> unit
 val to_string : query -> string

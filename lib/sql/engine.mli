@@ -9,9 +9,5 @@ exception Error of string
 
 type catalog = (string * Jqi_relational.Relation.t) list
 
-(** Execute a parsed query.  Raises [Error] on unknown tables/columns or
-    ambiguous references. *)
-val execute : catalog -> Ast.query -> Jqi_relational.Relation.t
-
 (** Parse and execute.  Raises [Error] (parse errors included). *)
 val query : catalog -> string -> Jqi_relational.Relation.t

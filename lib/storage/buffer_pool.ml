@@ -66,7 +66,6 @@ let create ?(frames = 64) pager =
     closed = false;
   }
 
-let frames t = Array.length t.arr
 let pager t = t.pager
 let check_open t = if t.closed then invalid_arg "Buffer_pool: pool is closed"
 

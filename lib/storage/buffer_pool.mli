@@ -37,7 +37,6 @@ val create : ?frames:int -> Pager.t -> t
     (default 64, minimum 1). The pool owns the pager: {!close} closes
     it. *)
 
-val frames : t -> int
 val pager : t -> Pager.t
 
 val pin : t -> int -> frame

@@ -27,22 +27,15 @@
 
 type t
 
-val create : Buffer_pool.t -> t
-(** Format the (empty) pager behind [pool] as a heap file. The heap
-    takes ownership of the pool: {!close} closes it. Raises
-    [Invalid_argument] if the pager already has pages or the page size
-    exceeds 32 KiB. *)
-
-val open_existing : Buffer_pool.t -> t
-(** Open a heap previously written by {!create}; rebuilds the append
-    state (record count, tail page) from the directory chain. Raises
-    {!Pager.Bad_file} on a non-heap file. *)
-
 val create_file : ?page_size:int -> ?pool_frames:int -> string -> t
-(** [create] over a fresh {!Pager}/{!Buffer_pool} on [path]. *)
+(** Format a new heap file at [path] over a fresh {!Pager}/{!Buffer_pool}.
+    The heap owns the pool: {!close} closes it. Raises [Invalid_argument]
+    if the page size exceeds 32 KiB. *)
 
 val open_file : ?pool_frames:int -> string -> t
-(** [open_existing] over [path]. *)
+(** Open a heap file written by {!create_file}; rebuilds the append
+    state (record count, tail page) from the directory chain. Raises
+    {!Pager.Bad_file} on a non-heap file. *)
 
 val pool : t -> Buffer_pool.t
 

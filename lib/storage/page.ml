@@ -52,6 +52,5 @@ let alloc size kind =
   set_u8 buf 0 (kind_to_byte kind);
   buf
 
-let get_kind buf = kind_of_byte (get_u8 buf 0)
 let set_kind buf k = set_u8 buf 0 (kind_to_byte k)
 let has_kind buf k = get_u8 buf 0 = kind_to_byte k

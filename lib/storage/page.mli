@@ -8,10 +8,6 @@
 val default_size : int
 (** 4096 bytes. *)
 
-val min_size : int
-(** Smallest supported page size (512); small pages keep eviction
-    tests cheap. *)
-
 (** First byte of every page. *)
 type kind =
   | Meta  (** file-level metadata (heap header + application blob) *)
@@ -29,13 +25,12 @@ val kind_of_byte : int -> kind option
 val pp_kind : Format.formatter -> kind -> unit
 
 val check_size : int -> int
-(** Validate a page size (power of two, within [min_size]..1 MiB);
+(** Validate a page size (power of two, within 512 B..1 MiB);
     returns it or raises [Invalid_argument]. *)
 
 val alloc : int -> kind -> bytes
 (** Fresh zeroed page of the given size with the kind byte set. *)
 
-val get_kind : bytes -> kind option
 val set_kind : bytes -> kind -> unit
 
 val has_kind : bytes -> kind -> bool

@@ -69,14 +69,11 @@ type t = {
   dbuf : Buffer.t; (* append scratch: dict record *)
 }
 
-let name t = t.name
-let schema t = t.schema
 let heap t = t.heap
 let pool t = Heap.pool t.heap
 let path t = Pager.path (Buffer_pool.pager (pool t))
 let row_count t = Vec.length t.rids
 let distinct_values t = Vec.length t.values
-let value_of_code t c = Vec.get t.values c
 
 (* --- varints (LEB128) and zigzag --- *)
 
@@ -360,8 +357,6 @@ let apply_delta t ~adds ~removed =
   Array.iter (append_row t) adds;
   Heap.sync t.heap
 
-let delete_row t i = apply_delta t ~adds:[||] ~removed:[| i |]
-
 let rec paged_backend t =
   let n = row_count t in
   {
@@ -398,10 +393,6 @@ let backend_of_string ~frames s =
   | "mem" | "memory" -> Some Mem
   | "paged" | "disk" -> Some (Paged { frames; dir = None })
   | _ -> None
-
-let backend_to_string = function
-  | Mem -> "mem"
-  | Paged { frames; dir = _ } -> Printf.sprintf "paged[%d pages]" frames
 
 let load_csv ?sep ?schema ?page_size ?pool_frames ~dest ~name path =
   let store, _schema =

@@ -23,35 +23,17 @@
 
 type t
 
-val create :
-  ?page_size:int -> ?pool_frames:int -> path:string -> name:string ->
-  Jqi_relational.Schema.t -> t
-(** Create an empty store at [path] (truncating). *)
-
 val open_file : ?pool_frames:int -> string -> t
 (** Reopen a store; one streaming scan rebuilds dictionary and row
     ids. Raises {!Pager.Bad_file} on a foreign or corrupt file. *)
 
-val name : t -> string
-val schema : t -> Jqi_relational.Schema.t
 val path : t -> string
 val heap : t -> Heap.t
 val pool : t -> Buffer_pool.t
 
-val append_row : t -> Jqi_relational.Tuple.t -> unit
-(** Raises [Invalid_argument] on an arity mismatch, or when a single
-    cell's encoding exceeds {!Heap.max_record}. *)
-
 val row_count : t -> int
-val distinct_values : t -> int
 
-(** The cell value a store code interns (codes are dense, so any
-    [0 <= c < distinct_values] is valid). *)
-val value_of_code : t -> int -> Jqi_relational.Value.t
 val get_row : t -> int -> Jqi_relational.Tuple.t
-
-val iter_rows : t -> (int -> Jqi_relational.Tuple.t -> unit) -> unit
-(** Stream rows in order; one heap scan, one page pin per record. *)
 
 val apply_delta :
   t -> adds:Jqi_relational.Tuple.t array -> removed:int array -> unit
@@ -64,9 +46,6 @@ val apply_delta :
     store's only record of heap rids: a removed row's rid leaves it, and
     {!Heap.delete} may later reissue that slot to an append. *)
 
-val delete_row : t -> int -> unit
-(** {!apply_delta} with a single removed row index. *)
-
 val relation : t -> Jqi_relational.Relation.t
 (** Wrap as a [Paged] relation. Take it after loading finishes: the
     row count is snapshotted here. The relation's closures keep the
@@ -75,7 +54,6 @@ val relation : t -> Jqi_relational.Relation.t
     invalidates earlier wrappings (their snapshotted row counts go
     stale). *)
 
-val sync : t -> unit
 val close : t -> unit
 
 (** {2 Backend selection for loaders (CLI / bench / server)} *)
@@ -91,8 +69,6 @@ val default_frames : int
 
 val backend_of_string : frames:int -> string -> backend option
 (** ["mem"] or ["paged"] (case-insensitive). *)
-
-val backend_to_string : backend -> string
 
 val load_csv :
   ?sep:char -> ?schema:Jqi_relational.Schema.t -> ?page_size:int -> ?pool_frames:int ->

@@ -55,10 +55,6 @@ let remove t i =
   w.(j) <- w.(j) land lnot (1 lsl (i mod bits_per_word));
   { t with words = w }
 
-let singleton width i =
-  let t = empty width in
-  add t i
-
 let check_same a b =
   if a.width <> b.width then invalid_arg "Bits: width mismatch"
 
@@ -122,7 +118,6 @@ let fold f t acc =
   done;
   !acc
 
-let iter f t = fold (fun i () -> f i) t ()
 let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
 
 let of_list width l = List.fold_left add (empty width) l
@@ -154,9 +149,6 @@ let of_words width words =
   { width; words = Array.copy words }
 
 let word t j = t.words.(j)
-
-let for_all p t = fold (fun i acc -> acc && p i) t true
-let exists p t = fold (fun i acc -> acc || p i) t false
 
 (* All subsets of [t], in no particular order.  Exponential: used only by
    brute-force test oracles and the minimax strategy on tiny instances. *)

@@ -13,9 +13,6 @@ val empty : int -> t
 (** [full w] is the complete universe of [w] elements. *)
 val full : int -> t
 
-(** [singleton w i] is [{i}] over a universe of [w] elements. *)
-val singleton : int -> int -> t
-
 (** Universe size this set was created with. *)
 val width : t -> int
 
@@ -46,7 +43,6 @@ val disjoint : t -> t -> bool
 val is_empty : t -> bool
 val cardinal : t -> int
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-val iter : (int -> unit) -> t -> unit
 
 (** Elements in increasing order. *)
 val elements : t -> int list
@@ -74,8 +70,6 @@ val of_words : int -> int array -> t
 (** [word t j] is word [j] of [t]'s representation, in the layout
     {!bits_per_word} describes ([0 <= j < word_count (width t)]). *)
 val word : t -> int -> int
-val for_all : (int -> bool) -> t -> bool
-val exists : (int -> bool) -> t -> bool
 
 (** All 2^|t| subsets of [t]. Exponential — only for brute-force oracles and
     the minimax strategy on tiny instances. *)

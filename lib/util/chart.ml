@@ -40,6 +40,3 @@ let render_grouped ~title ~value_label groups =
   Buffer.add_string buf
     (Printf.sprintf "  (bar length ∝ %s; full bar = %.3g)\n" value_label vmax);
   Buffer.contents buf
-
-let print_grouped ~title ~value_label groups =
-  print_string (render_grouped ~title ~value_label groups)

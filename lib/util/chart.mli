@@ -6,5 +6,3 @@ type group = { label : string; values : (string * float) list }
 (** Grouped horizontal bars, scaled to the global maximum; zero values get
     an empty bar, tiny positive values at least one mark. *)
 val render_grouped : title:string -> value_label:string -> group list -> string
-
-val print_grouped : title:string -> value_label:string -> group list -> unit

@@ -76,7 +76,3 @@ let summarize xs =
   }
 
 let of_ints xs = Array.map float_of_int xs
-
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.n s.mean
-    s.stddev s.min s.median s.max

@@ -29,4 +29,3 @@ val median : float array -> float
 val min_max : float array -> float * float
 val summarize : float array -> summary
 val of_ints : int array -> float array
-val pp_summary : Format.formatter -> summary -> unit

@@ -36,7 +36,3 @@ let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
   done
-
-let to_list t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
-  go (t.len - 1) []

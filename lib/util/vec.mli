@@ -18,5 +18,4 @@ val clear : 'a t -> unit
 (** Fresh array of the [length] pushed elements, in push order. *)
 val to_array : 'a t -> 'a array
 
-val to_list : 'a t -> 'a list
 val iter : ('a -> unit) -> 'a t -> unit

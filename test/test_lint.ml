@@ -209,7 +209,7 @@ let test_clean_tree () =
         | Error e -> Alcotest.fail e
       in
       let outcome =
-        Driver.run ~baseline [ "lib"; "bin"; "bench"; "test" ]
+        Driver.run ~baseline [ "lib"; "bin"; "bench"; "test"; "wirebench" ]
       in
       Alcotest.(check int) "no parse errors" 0 outcome.Driver.parse_errors;
       List.iter
@@ -402,6 +402,64 @@ let test_rule_selection () =
     "parse errors always surface" [ "P0" ]
     (rules_only [ "R9" ] "let f x = ")
 
+(* ------------------------- R13 (unused exports) ---------------------- *)
+
+(* A library unit with an interface: [used] and [unused] are exported,
+   and [unused] calls [used] from inside the unit. *)
+let store_unit ?(ml = "let used x = x + 1\nlet unused x = used x\n") () =
+  [
+    ("lib/store/store.mli", "val used : int -> int\nval unused : int -> int\n");
+    ("lib/store/store.ml", ml);
+  ]
+
+let check_r13 name expected sources =
+  Alcotest.(check (list string)) name expected (program_rules_of [ "R13" ] sources)
+
+let test_r13_unused_exports () =
+  check_r13 "a use inside its own unit clears nothing" [ "R13@1"; "R13@2" ]
+    (store_unit ());
+  (match
+     Driver.lint_sources
+       ~opts:{ Driver.default_options with Driver.rules = Some [ "R13" ] }
+       (store_unit ())
+   with
+  | f :: _ ->
+      Alcotest.(check bool)
+        "message names the export and its unit" true
+        (contains ~needle:"\"used\" has no caller outside lib/store/store.ml"
+           f.Finding.message)
+  | [] -> Alcotest.fail "expected R13 findings");
+  let cleared name caller =
+    check_r13 name [ "R13@2" ] (store_unit () @ caller)
+  in
+  cleared "a call from a sibling unit"
+    [ ("lib/store/user.ml", "let f = Store.used 1") ];
+  cleared "a library-qualified call from bin/"
+    [ ("bin/main.ml", "let f = Jqi_store.Store.used 1") ];
+  cleared "a bare reference through a module alias"
+    [ ("test/t.ml", "module S = Jqi_store.Store\nlet fs = [ S.used ]") ];
+  cleared "a bare reference through a let-module alias"
+    [ ("bench/b.ml", "let f () = let module S = Jqi_store.Store in S.used") ];
+  cleared "a bare reference through an open"
+    [ ("test/t.ml", "open Jqi_store\nopen Store\nlet g = List.map used") ];
+  cleared "a local open"
+    [ ("test/t.ml", "let g = Jqi_store.Store.(List.map used)") ];
+  cleared "an opened unit's own alias"
+    [
+      ("test/fix.ml", "module S = Jqi_store.Store");
+      ("test/t.ml", "open Fix\nlet g = S.used");
+    ];
+  check_r13 "a module argument uses the whole module" []
+    (store_unit () @ [ ("test/t.ml", "module M = F (Jqi_store.Store)") ]);
+  check_r13 "[@lint.allow \"R13\"] at the definition" [ "R13@1" ]
+    (store_unit
+       ~ml:
+         "let used x = x + 1\n\
+          let[@lint.allow \"R13\"] unused x = used x (* kept as an oracle *)\n"
+       ());
+  check_r13 "a unit without an .mli is never judged" []
+    [ ("lib/store/store.ml", "let used x = x + 1\nlet unused x = used x\n") ]
+
 (* ------------------------- munge regressions ------------------------- *)
 
 let read_staged path =
@@ -486,10 +544,13 @@ let test_r12_protocol_munge () =
              contains ~needle:"label_of_string" f.Finding.message)
            findings))
 
-(* The analyzer's own sources hold themselves to the same bar. *)
+(* The analyzer's own sources hold themselves to the same bar.  Its two
+   callers come along so that R13 sees the entry points they use. *)
 let test_lint_self_clean () =
   in_repo_root (fun () ->
-      let _, findings, analysis = Driver.lint_paths [ "lib/lint" ] in
+      let _, findings, analysis =
+        Driver.lint_paths [ "lib/lint"; "bin/jqlint.ml"; "test/test_lint.ml" ]
+      in
       List.iter
         (fun f -> Alcotest.failf "lib/lint finding: %a" Finding.pp f)
         findings;
@@ -564,4 +625,5 @@ let suite =
     Alcotest.test_case "driver-modes" `Quick test_driver_modes;
     Alcotest.test_case "clean-tree" `Quick test_clean_tree;
     Alcotest.test_case "null-eq-regression" `Quick test_null_eq_regression_is_fresh;
+    Alcotest.test_case "r13-unused-exports" `Quick test_r13_unused_exports;
   ]
